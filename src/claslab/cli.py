@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import evaluation
@@ -42,211 +43,219 @@ _USAGE_ERRORS = (
     IsADirectoryError,
     json.JSONDecodeError,
 )
-_RUNTIME_ERRORS = (FitError, NumericError, DivergenceError, EstimationError)
+_RUNTIME_ERRORS = (FitError, NumericError, DivergenceError, EstimationError, MemoryError)
 
 # sub-seed roles, so data sampling, training and estimation draw from
 # independent streams of the one config seed
 _DATA, _TRAIN, _EST, _CURVE = 0, 1, 2, 3
 
+REQUIRED = object()  # schema default of a parameter the config must give
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "list",
+               dict: "object"}
+_KWARGS = {"lambda": "lam"}  # config key -> keyword, where the key is reserved in Python
 
-def _take(params, key, default=None, required=False):
-    if required and key not in params:
-        raise ValueError(f"trainer parameter {key!r} is required")
-    return params.pop(key, default)
+
+def _typed(value, type_, what):
+    """``value`` checked against a schema type; a float accepts an integer."""
+    if typing.get_origin(type_) is list:
+        (item,) = typing.get_args(type_)
+        return [_typed(v, item, f"each of {what}") for v in _typed(value, list, what)]
+    if type_ is float and type(value) is int:
+        return float(value)
+    if isinstance(value, type_) and not (type_ is int and isinstance(value, bool)):
+        return value
+    raise ValueError(f"{what} must be a JSON {_JSON_TYPES[type_]}, got {value!r}")
 
 
-def build_trainer(name: str, params: dict, seed: int, problem=None):
-    """Resolve a registered trainer name to a callable(dataset) -> model."""
-    params = dict(params or {})
-    if name == "lda":
-        kwargs = {
-            "laplace_priors": bool(_take(params, "laplace_priors", False)),
-            "unbiased_cov": bool(_take(params, "unbiased_cov", False)),
-            "ridge_cov": float(_take(params, "ridge_cov", 0.0)),
-        }
-        trainer = lambda ds: fit_lda(ds, **kwargs)
-    elif name == "parzen":
-        bandwidth = float(_take(params, "bandwidth", required=True))
-        trainer = lambda ds: fit_parzen(ds, bandwidth)
-    elif name == "logistic":
-        lam = float(_take(params, "lambda", 0.0))
-        overrides = {
-            k: type_(_take(params, k, default))
-            for k, default, type_ in (
-                ("max_iters", 1000, int),
-                ("step_size", 1.0, float),
-                ("tolerance", 1e-6, float),
-            )
-        }
-        trainer = lambda ds: train_logistic(ds, lam, **overrides)
-    elif name == "least_squares":
-        lam = float(_take(params, "lambda", 0.0))
-        trainer = lambda ds: train_least_squares(ds, lam)
-    elif name == "linear":
-        config = TrainConfig(
-            loss=str(_take(params, "loss", required=True)),
-            lam=float(_take(params, "lambda", 0.0)),
-            max_iters=int(_take(params, "max_iters", 1000)),
-            step_size=float(_take(params, "step_size", 1.0)),
-            tolerance=float(_take(params, "tolerance", 1e-6)),
-            seed=seed,
-        )
-        trainer = lambda ds: train_linear(ds, config)
-    elif name == "kernel_ridge":
-        kernel = Kernel(
-            str(_take(params, "kernel", "rbf")),
-            c=float(_take(params, "c", 1.0)),
-            sigma=float(_take(params, "sigma", 1.0)),
-        )
-        lam = float(_take(params, "lambda", required=True))
-        trainer = lambda ds: train_kernel_machine(ds, kernel, lam)
-    elif name == "knn":
-        k = int(_take(params, "k", required=True))
-        trainer = lambda ds: fit_knn(ds, k)
-    elif name == "tree":
-        depth = int(_take(params, "max_depth", required=True))
-        leaf = int(_take(params, "min_leaf_size", 1))
-        trainer = lambda ds: fit_tree(ds, depth, leaf)
-    elif name in ("bagging", "random_subspace"):
-        base = TreeConfig(
-            int(_take(params, "max_depth", 3)),
-            int(_take(params, "min_leaf_size", 1)),
-        )
-        m_rounds = int(_take(params, "m_rounds", required=True))
-        if name == "bagging":
-            trainer = lambda ds: bagging(ds, base, m_rounds, seed)
-        else:
-            sub_dim = int(_take(params, "subspace_dim", required=True))
-            trainer = lambda ds: random_subspace(ds, base, m_rounds, sub_dim, seed)
-    elif name == "adaboost":
-        t_rounds = int(_take(params, "t_rounds", required=True))
-        trainer = lambda ds: adaboost(ds, t_rounds)
-    elif name == "net":
-        config = NetTrainConfig(
-            hidden_units=int(_take(params, "hidden_units", 4)),
-            learning_rate=float(_take(params, "learning_rate", 0.1)),
-            max_iters=int(_take(params, "max_iters", 2000)),
-            init_scale=float(_take(params, "init_scale", 0.5)),
-            seed=seed,
-            hidden_activation=str(_take(params, "hidden_activation", "logistic_sigmoid")),
-            output_activation=str(_take(params, "output_activation", "identity")),
-        )
-        trainer = lambda ds: train_net(ds, config)
-    elif name == "bayes":
-        if problem is None:
-            raise ValueError("trainer 'bayes' needs a problem, not a dataset")
-        oracle = BayesClassifier(problem)
-        trainer = lambda ds: oracle
-    else:
-        raise ValueError(f"unknown trainer {name!r}")
-    if params:
-        raise ValueError(
-            f"unknown parameters for trainer {name!r}: {sorted(params)}"
-        )
-    return trainer
+def _get(obj, key, type_, default=REQUIRED, what="config"):
+    if key in obj:
+        return _typed(obj[key], type_, f"{what} {key!r}")
+    if default is REQUIRED:
+        raise ValueError(f"{what} needs {key!r}")
+    return default
+
+
+def _choose(table, name, params, what):
+    """Look ``name`` up in a registry and check ``params`` against its schema.
+
+    A registry maps each name to (schema, builder); a schema maps each
+    parameter to (type, default or REQUIRED).  Returns (builder, keyword
+    arguments for it).
+    """
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown {what} {name!r}")
+    schema, build = table[name]
+    what = f"{what} {name!r}"
+    params = _typed(params, dict, f"{what} parameters")
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ValueError(f"unknown parameters for {what}: {unknown}")
+    return build, {
+        _KWARGS.get(key, key): _get(params, key, type_, default, what)
+        for key, (type_, default) in schema.items()
+    }
+
+
+def _linear(p, seed, problem):
+    config = TrainConfig(**p)
+    return lambda ds: train_linear(ds, config)
+
+
+def _kernel_ridge(p, seed, problem):
+    kernel = Kernel(p["kernel"], p["c"], p["sigma"])
+    return lambda ds: train_kernel_machine(ds, kernel, p["lam"])
+
+
+def _net(p, seed, problem):
+    config = NetTrainConfig(seed=seed, **p)
+    return lambda ds: train_net(ds, config)
+
+
+def _bayes(p, seed, problem):
+    if problem is None:
+        raise ValueError("trainer 'bayes' needs a problem, not a dataset")
+    oracle = BayesClassifier(problem)
+    return lambda ds: oracle
+
+
+_GD = {"lambda": (float, 0.0), "max_iters": (int, 1000), "step_size": (float, 1.0),
+       "tolerance": (float, 1e-6)}
+_TREES = {"max_depth": (int, 3), "min_leaf_size": (int, 1), "m_rounds": (int, REQUIRED)}
+
+# name -> (schema, builder(params, seed, problem) -> trainer).  Trainers call
+# the fit functions through this module's names when they run, so a tool
+# that rebinds those names (a tracer) sees every fit.
+TRAINERS = {
+    "lda": (
+        {"laplace_priors": (bool, False), "unbiased_cov": (bool, False),
+         "ridge_cov": (float, 0.0)},
+        lambda p, *_: lambda ds: fit_lda(ds, **p),
+    ),
+    "parzen": ({"bandwidth": (float, REQUIRED)}, lambda p, *_: lambda ds: fit_parzen(ds, **p)),
+    "logistic": (_GD, lambda p, *_: lambda ds: train_logistic(ds, **p)),
+    "least_squares": (
+        {"lambda": (float, 0.0)}, lambda p, *_: lambda ds: train_least_squares(ds, **p)
+    ),
+    "linear": ({"loss": (str, REQUIRED), **_GD}, _linear),
+    "kernel_ridge": (
+        {"kernel": (str, "rbf"), "c": (float, 1.0), "sigma": (float, 1.0),
+         "lambda": (float, REQUIRED)},
+        _kernel_ridge,
+    ),
+    "knn": ({"k": (int, REQUIRED)}, lambda p, *_: lambda ds: fit_knn(ds, **p)),
+    "tree": (
+        {"max_depth": (int, REQUIRED), "min_leaf_size": (int, 1)},
+        lambda p, *_: lambda ds: fit_tree(ds, **p),
+    ),
+    "bagging": (
+        _TREES,
+        lambda p, seed, _: lambda ds: bagging(
+            ds, TreeConfig(p["max_depth"], p["min_leaf_size"]), p["m_rounds"], seed
+        ),
+    ),
+    "random_subspace": (
+        {**_TREES, "subspace_dim": (int, REQUIRED)},
+        lambda p, seed, _: lambda ds: random_subspace(
+            ds, TreeConfig(p["max_depth"], p["min_leaf_size"]), p["m_rounds"],
+            p["subspace_dim"], seed,
+        ),
+    ),
+    "adaboost": ({"t_rounds": (int, REQUIRED)}, lambda p, *_: lambda ds: adaboost(ds, **p)),
+    "net": (
+        {"hidden_units": (int, 4), "learning_rate": (float, 0.1), "max_iters": (int, 2000),
+         "init_scale": (float, 0.5), "hidden_activation": (str, "logistic_sigmoid"),
+         "output_activation": (str, "identity")},
+        _net,
+    ),
+    "bayes": ({}, _bayes),
+}
+
+# method -> (schema, runner(trainer, ds, seed, **params) -> ErrorEstimate)
+ESTIMATORS = {
+    "apparent": ({}, lambda t, ds, seed: evaluation.apparent_error(t(ds), ds)),
+    "holdout": (
+        {"test_fraction": (float, 0.3), "stratified": (bool, False)},
+        lambda t, ds, seed, **p: evaluation.holdout_error(t, ds, seed=seed, **p),
+    ),
+    "kfold": (
+        {"k": (int, 5), "stratified": (bool, False)},
+        lambda t, ds, seed, **p: evaluation.kfold_cv(t, ds, seed=seed, **p),
+    ),
+    "loo": ({}, lambda t, ds, seed: evaluation.loo_cv(t, ds)),
+    "bootstrap_corrected": (
+        {"m_rounds": (int, 100)},
+        lambda t, ds, seed, **p: evaluation.bootstrap_corrected(t, ds, seed=seed, **p),
+    ),
+    "e632": (
+        {"m_rounds": (int, 100)},
+        lambda t, ds, seed, **p: evaluation.e632(t, ds, seed=seed, **p),
+    ),
+}
+
+# kind -> (schema, runner(trainer, problem or dataset, **params) -> curves)
+CURVES = {
+    "learning": (
+        {"sizes": (list[int], REQUIRED), "repeats": (int, 10), "n_test_mc": (int, 20000)},
+        lambda t, source, **p: evaluation.learning_curve(t, source, **p),
+    ),
+    "feature": (
+        {"dims": (list[int], REQUIRED), "repeats": (int, 10), "n_train": (int, 100),
+         "n_test_mc": (int, 20000), "folds": (int, 5)},
+        lambda t, source, **p: [evaluation.feature_curve(t, source, **p)],
+    ),
+}
 
 
 def _load_config(args):
     with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _typed(json.load(fh), dict, "the config")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out"] = args.out
-    if "seed" not in cfg:
-        cfg["seed"] = 0
-    cfg["seed"] = int(cfg["seed"])
+    cfg["seed"] = _get(cfg, "seed", int, 0)
     if cfg["seed"] < 0:
         raise ValueError("seed must be a nonnegative integer")
     return cfg
 
 
-def _require_out(cfg) -> Path:
-    if "out" not in cfg:
-        raise ValueError("config needs an 'out' path (or pass --out)")
-    return Path(cfg["out"])
-
-
-def _load_source(cfg, need_data: bool = True):
-    """Return (problem or None, dataset or None) from the config."""
-    has_problem = "problem" in cfg
-    has_dataset = "dataset" in cfg
-    if has_problem == has_dataset:
-        raise ValueError("config needs exactly one of 'problem' or 'dataset'")
-    if has_problem:
-        problem = load_problem(cfg["problem"])
-        ds = None
-        if need_data:
-            if "n" not in cfg:
-                raise ValueError("sampling from a problem needs 'n' in the config")
-            ds = sample(problem, int(cfg["n"]), child_seed(cfg["seed"], _DATA))
-        return problem, ds
-    return None, load_csv(cfg["dataset"])
-
-
 def _prepare(cfg, need_data: bool = True):
-    """Resolve source and transform chain; returns (problem, ds, pipeline spec)."""
-    problem, ds = _load_source(cfg, need_data)
-    pointwise = ""
-    if cfg.get("transform"):
-        noise_spec, pointwise = split_transform_spec(cfg["transform"])
-        if noise_spec:
-            if ds is None:
-                raise ValueError("noise transforms need a dataset to apply to")
-            chain = parse_transform_spec(noise_spec, child_seed(cfg["seed"], _DATA, 1))
-            for step in chain:
-                ds = step.apply(ds)
+    """Resolve source and transform chain; returns (problem, ds, pointwise spec)."""
+    if ("problem" in cfg) == ("dataset" in cfg):
+        raise ValueError("config needs exactly one of 'problem' or 'dataset'")
+    problem = ds = None
+    if "problem" in cfg:
+        problem = load_problem(_get(cfg, "problem", str))
+        if need_data:
+            ds = sample(problem, _get(cfg, "n", int), child_seed(cfg["seed"], _DATA))
+    else:
+        ds = load_csv(_get(cfg, "dataset", str))
+    noise_spec, pointwise = split_transform_spec(_get(cfg, "transform", str, ""))
+    if noise_spec:
+        if ds is None:
+            raise ValueError("noise transforms need a dataset to apply to")
+        chain = parse_transform_spec(noise_spec, child_seed(cfg["seed"], _DATA, 1))
+        for step in chain:
+            ds = step.apply(ds)
     return problem, ds, pointwise
 
 
-def _resolve_trainer(cfg, spec, problem):
+def _resolve_trainer(cfg, spec, problem, pointwise):
+    spec = _typed(spec, dict, "a trainer spec")
     name = spec.get("name")
-    if name is None:
-        raise ValueError("trainer spec needs a 'name'")
-    base = build_trainer(name, spec.get("params"), child_seed(cfg["seed"], _TRAIN), problem)
-    _, _, pointwise = cfg["_prepared"]
+    build, params = _choose(TRAINERS, name, spec.get("params", {}), "trainer")
+    trainer = build(params, child_seed(cfg["seed"], _TRAIN), problem)
     # the oracle rule acts on raw coordinates; transforms belong to trainers
     if pointwise and name != "bayes":
-        return name, make_pipeline_trainer(pointwise, base, child_seed(cfg["seed"], _TRAIN, 1))
-    return name, base
+        return name, make_pipeline_trainer(pointwise, trainer, child_seed(cfg["seed"], _TRAIN, 1))
+    return name, trainer
 
 
-def _run_estimator(cfg, trainer, ds):
-    spec = dict(cfg.get("estimator") or {})
-    method = spec.pop("method", None)
-    if method == "apparent":
-        est = evaluation.apparent_error(trainer(ds), ds)
-    elif method == "holdout":
-        est = evaluation.holdout_error(
-            trainer,
-            ds,
-            float(spec.pop("test_fraction", 0.3)),
-            child_seed(cfg["seed"], _EST),
-            bool(spec.pop("stratified", False)),
-        )
-    elif method == "kfold":
-        est = evaluation.kfold_cv(
-            trainer,
-            ds,
-            int(spec.pop("k", 5)),
-            bool(spec.pop("stratified", False)),
-            child_seed(cfg["seed"], _EST),
-        )
-    elif method == "loo":
-        est = evaluation.loo_cv(trainer, ds)
-    elif method == "bootstrap_corrected":
-        est = evaluation.bootstrap_corrected(
-            trainer, ds, int(spec.pop("m_rounds", 100)), child_seed(cfg["seed"], _EST)
-        )
-    elif method == "e632":
-        est = evaluation.e632(
-            trainer, ds, int(spec.pop("m_rounds", 100)), child_seed(cfg["seed"], _EST)
-        )
-    else:
-        raise ValueError(f"unknown estimator method {method!r}")
-    if spec:
-        raise ValueError(f"unknown estimator parameters: {sorted(spec)}")
-    return est
+def _estimator(cfg):
+    """The configured estimator as a callable(trainer, ds) -> ErrorEstimate."""
+    spec = dict(_get(cfg, "estimator", dict, {}))
+    run, params = _choose(ESTIMATORS, spec.pop("method", None), spec, "estimator")
+    return lambda trainer, ds: run(trainer, ds, child_seed(cfg["seed"], _EST), **params)
 
 
 def _write_json(obj, path: Path):
@@ -256,26 +265,22 @@ def _write_json(obj, path: Path):
 
 
 def cmd_gen(cfg) -> int:
-    if "problem" not in cfg:
-        raise ValueError("gen needs a 'problem' file in the config")
-    problem = load_problem(cfg["problem"])
-    if "n" not in cfg:
-        raise ValueError("gen needs 'n' in the config")
-    out = _require_out(cfg)
-    ds = sample(problem, int(cfg["n"]), cfg["seed"])
+    problem = load_problem(_get(cfg, "problem", str))
+    n = _get(cfg, "n", int)
+    out = Path(_get(cfg, "out", str))
+    ds = sample(problem, n, cfg["seed"])
     save_csv(ds, out)
     print(f"wrote {out} ({ds.n} rows, d={ds.dim})")
     return 0
 
 
 def cmd_train(cfg) -> int:
-    cfg["_prepared"] = _prepare(cfg)
-    problem, ds, _ = cfg["_prepared"]
-    out = _require_out(cfg)
-    spec = cfg.get("trainer") or {}
+    problem, ds, pointwise = _prepare(cfg)
+    out = Path(_get(cfg, "out", str))
+    spec = _get(cfg, "trainer", dict, {})
     if spec.get("name") == "bayes":
         raise ValueError("the bayes oracle is not trainable; use it via bench")
-    name, trainer = _resolve_trainer(cfg, spec, problem)
+    name, trainer = _resolve_trainer(cfg, spec, problem, pointwise)
     model = trainer(ds)
     save_model(model, out)
     inner = getattr(model, "model", model)  # unwrap pipelines for the report
@@ -295,11 +300,10 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_eval(cfg) -> int:
-    cfg["_prepared"] = _prepare(cfg)
-    problem, ds, _ = cfg["_prepared"]
-    out = _require_out(cfg)
-    name, trainer = _resolve_trainer(cfg, cfg.get("trainer") or {}, problem)
-    est = _run_estimator(cfg, trainer, ds)
+    problem, ds, pointwise = _prepare(cfg)
+    out = Path(_get(cfg, "out", str))
+    name, trainer = _resolve_trainer(cfg, _get(cfg, "trainer", dict, {}), problem, pointwise)
+    est = _estimator(cfg)(trainer, ds)
     payload = {
         "trainer": name,
         "value": est.value,
@@ -313,63 +317,29 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_curve(cfg) -> int:
-    spec = dict(cfg.get("curve") or {})
-    kind = spec.pop("kind", None)
-    out = _require_out(cfg)
+    spec = dict(_get(cfg, "curve", dict, {}))
+    run, params = _choose(CURVES, spec.pop("kind", None), spec, "curve")
+    out = Path(_get(cfg, "out", str))
+    problem, ds, pointwise = _prepare(cfg, need_data=False)
+    name, trainer = _resolve_trainer(cfg, _get(cfg, "trainer", dict, {}), problem, pointwise)
+    source = problem if problem is not None else ds
     seed = child_seed(cfg["seed"], _CURVE)
-    if kind == "learning":
-        cfg["_prepared"] = _prepare(cfg, need_data=False)
-        problem, _, _ = cfg["_prepared"]
-        if problem is None:
-            raise ValueError("a learning curve needs a 'problem' source")
-        name, trainer = _resolve_trainer(cfg, cfg.get("trainer") or {}, problem)
-        curves = evaluation.learning_curve(
-            trainer,
-            problem,
-            [int(s) for s in spec.pop("sizes")],
-            int(spec.pop("repeats", 10)),
-            int(spec.pop("n_test_mc", 20000)),
-            seed,
-            trainer_name=name,
-        )
-    elif kind == "feature":
-        cfg["_prepared"] = _prepare(cfg, need_data=False)
-        problem, ds, _ = cfg["_prepared"]
-        source = problem if problem is not None else ds
-        name, trainer = _resolve_trainer(cfg, cfg.get("trainer") or {}, problem)
-        curves = [
-            evaluation.feature_curve(
-                trainer,
-                source,
-                [int(d) for d in spec.pop("dims")],
-                int(spec.pop("repeats", 10)),
-                seed,
-                n_train=int(spec.pop("n_train", 100)),
-                n_test_mc=int(spec.pop("n_test_mc", 20000)),
-                folds=int(spec.pop("folds", 5)),
-                trainer_name=name,
-            )
-        ]
-    else:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    if spec:
-        raise ValueError(f"unknown curve parameters: {sorted(spec)}")
-    evaluation.write_curves_csv(curves, out)
+    evaluation.write_curves_csv(run(trainer, source, seed=seed, trainer_name=name, **params), out)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_bench(cfg) -> int:
-    cfg["_prepared"] = _prepare(cfg)
-    problem, ds, _ = cfg["_prepared"]
-    out = _require_out(cfg)
-    specs = cfg.get("trainers") or []
+    problem, ds, pointwise = _prepare(cfg)
+    out = Path(_get(cfg, "out", str))
+    specs = _get(cfg, "trainers", list, [])
     if not specs:
         raise ValueError("bench needs a nonempty 'trainers' list")
+    trainers = [_resolve_trainer(cfg, spec, problem, pointwise) for spec in specs]
+    estimate = _estimator(cfg)
     rows = []
-    for spec in specs:
-        name, trainer = _resolve_trainer(cfg, spec, problem)
-        est = _run_estimator(cfg, trainer, ds)
+    for name, trainer in trainers:
+        est = estimate(trainer, ds)
         std = est.std if est.std is not None else evaluation.error_std(est.value, ds.n)
         rows.append((name, est.method, ds.n, est.value, std))
     with open(out, "w", encoding="utf-8") as fh:
@@ -409,7 +379,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg)
     except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except _USAGE_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

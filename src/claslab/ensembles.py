@@ -127,7 +127,7 @@ class BoostRound:
 class BoostModel(DecisionFunction):
     """Weighted stump sum: score(x) = sum_t alpha_t h_t(x), h_t in {-1,+1}."""
 
-    rounds: tuple
+    rounds: tuple[BoostRound, ...]
 
     @property
     def dim(self) -> int:

@@ -21,16 +21,6 @@ from .exceptions import EstimationError
 from .oracle import GaussianMixtureProblem, sample, true_error
 from . import features as _features
 
-ESTIMATOR_METHODS = (
-    "apparent",
-    "holdout",
-    "kfold",
-    "loo",
-    "bootstrap_corrected",
-    "e632",
-)
-
-
 @dataclass(frozen=True)
 class ErrorEstimate:
     value: float
@@ -223,6 +213,8 @@ def learning_curve(
     fitted, and both the resubstitution error and a Monte-Carlo estimate
     of the true error are recorded.  Returns (true_curve, apparent_curve).
     """
+    if not isinstance(problem, GaussianMixtureProblem):
+        raise ValueError("a learning curve needs a problem to sample, not a dataset")
     sizes = list(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")

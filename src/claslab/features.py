@@ -29,6 +29,10 @@ from .data import LabeledDataset, child_seed
 class FeatureTransform:
     """Deterministic map from one dataset to another; labels untouched."""
 
+    def fit(self, ds: LabeledDataset) -> "FeatureTransform":
+        """The transform to use for training data ``ds``: itself unless learned."""
+        return self
+
     def output_dim(self, d: int) -> int:
         raise NotImplementedError
 
@@ -125,46 +129,40 @@ def append_noise(ds: LabeledDataset, count: int, seed: int = 0) -> LabeledDatase
     return AppendNoise(count, seed).apply(ds)
 
 
-def parse_transform_spec(spec: str, seed: int = 0):
-    """Turn ``"standardize+poly2"`` &c. into a list of transform stubs.
+# spec step name (with its ":" when it takes an argument) -> builder(argument, seed)
+TRANSFORMS = {
+    "poly2": lambda arg, seed: Poly2Expand(),
+    "standardize": lambda arg, seed: Standardize,
+    "noise:": lambda arg, seed: AppendNoise(int(arg), seed),
+    "select:": lambda arg, seed: Select(tuple(int(s) for s in arg.split(","))),
+}
 
-    Standardize is returned unfitted (None placeholder params) and must
-    be fitted on the training data by the caller; see
-    :func:`fit_transform_chain`.
+
+def parse_transform_spec(spec: str, seed: int = 0):
+    """Turn ``"standardize+poly2"`` &c. into a list of chain steps.
+
+    Each step's ``fit(ds)`` gives the transform to use on training data
+    ``ds``; standardize is returned as the :class:`Standardize` class,
+    whose ``fit`` learns the parameters (see :func:`fit_transform_chain`).
     """
     chain = []
     for i, part in enumerate(p.strip() for p in spec.split("+")):
-        if part == "poly2":
-            chain.append(Poly2Expand())
-        elif part == "standardize":
-            chain.append(("standardize",))
-        elif part.startswith("noise:"):
-            chain.append(AppendNoise(int(part[len("noise:"):]), child_seed(seed, i)))
-        elif part.startswith("select:"):
-            idx = tuple(int(s) for s in part[len("select:"):].split(","))
-            chain.append(Select(idx))
-        else:
+        name, colon, arg = part.partition(":")
+        if name + colon not in TRANSFORMS:
             raise ValueError(f"unknown transform {part!r}")
+        chain.append(TRANSFORMS[name + colon](arg, child_seed(seed, i)))
     return chain
 
 
 def fit_transform_chain(chain, ds: LabeledDataset):
-    """Fit any unfitted standardize steps on ds; return (transforms, mapped ds)."""
+    """Fit every step on the data it will see; return (transforms, mapped ds)."""
     fitted = []
     current = ds
     for step in chain:
-        if step == ("standardize",):
-            step = Standardize.fit(current)
+        step = step.fit(current)
         current = step.apply(current)
         fitted.append(step)
     return fitted, current
-
-
-def apply_transform_chain(chain, ds: LabeledDataset) -> LabeledDataset:
-    current = ds
-    for step in chain:
-        current = step.apply(current)
-    return current
 
 
 @dataclass(frozen=True)

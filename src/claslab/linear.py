@@ -68,7 +68,6 @@ class TrainConfig:
     max_iters: int = 1000
     step_size: float = 1.0
     tolerance: float = 1e-6
-    seed: int = 0  # unused by the deterministic zero init; kept for uniformity
 
     def __post_init__(self):
         if self.lam < 0:

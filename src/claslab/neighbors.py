@@ -24,7 +24,6 @@ class KnnClassifier(DecisionFunction):
 
     k: int
     dataset: LabeledDataset
-    metric: str = "euclidean"
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,7 @@
 """JSON (de)serialization for every fitted model in the package.
 
+A model is written as its dataclass fields plus the ``kind`` naming its
+class in :data:`KINDS`, and read back by walking the fields' annotations.
 Floats survive a round trip exactly (the json module prints shortest
 round-trip decimals), so a reloaded model reproduces its predictions
 bit for bit.
@@ -8,6 +10,9 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import types
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -21,13 +26,33 @@ from .neighbors import KnnClassifier
 from .neural import OneHiddenLayerNet
 from .trees import DecisionTree, TreeNode
 
+KINDS = {
+    "lda": LdaModel,
+    "parzen": ParzenModel,
+    "linear": LinearHypothesis,
+    "kernel_machine": KernelMachine,
+    "knn": KnnClassifier,
+    "tree": DecisionTree,
+    "ensemble": Ensemble,
+    "boost": BoostModel,
+    "net": OneHiddenLayerNet,
+    "pipeline": PipelineClassifier,
+    "standardize": Standardize,
+    "poly2": Poly2Expand,
+    "select": Select,
+}
+_KIND_OF = {cls: kind for kind, cls in KINDS.items()}
+_RECORDS = (Kernel, BoostRound)  # nested field groups, written without a kind
+_KEYS = {"member_feature_masks": "masks"}  # field name -> JSON key, where they differ
 
+
+# tree nodes use a compact leaf form and never store an inner node's label
 def _node_to_dict(node):
     if node.is_leaf:
-        return {"leaf": int(node.label)}
+        return {"leaf": node.label}
     return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
+        "feature": node.feature,
+        "threshold": node.threshold,
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
@@ -35,215 +60,81 @@ def _node_to_dict(node):
 
 def _node_from_dict(obj):
     if "leaf" in obj:
-        return TreeNode(label=int(obj["leaf"]))
+        return TreeNode(label=obj["leaf"])
     return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
+        feature=obj["feature"],
+        threshold=obj["threshold"],
         left=_node_from_dict(obj["left"]),
         right=_node_from_dict(obj["right"]),
     )
 
 
-def _transform_to_dict(t):
-    if isinstance(t, Standardize):
-        return {"kind": "standardize", "mean": t.mean.tolist(), "std": t.std.tolist()}
-    if isinstance(t, Poly2Expand):
-        return {"kind": "poly2"}
-    if isinstance(t, Select):
-        return {"kind": "select", "indices": list(t.indices)}
-    raise ValueError(f"cannot serialize transform {type(t).__name__}")
+def _stored_fields(cls):
+    return [f.name for f in fields(cls) if f.name != "info"]  # training info is not saved
 
 
-def _transform_from_dict(obj):
-    kind = obj["kind"]
-    if kind == "standardize":
-        return Standardize(np.array(obj["mean"]), np.array(obj["std"]))
-    if kind == "poly2":
-        return Poly2Expand()
-    if kind == "select":
-        return Select(tuple(obj["indices"]))
-    raise ValueError(f"unknown transform kind {kind!r}")
+def _encode(value):
+    if isinstance(value, (str, int, float, type(None))):
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, TreeNode):
+        return _node_to_dict(value)
+    if isinstance(value, KnnClassifier):  # files carry the data, not a dataset
+        return {
+            "kind": "knn",
+            "k": value.k,
+            "features": value.dataset.features.tolist(),
+            "labels": value.dataset.labels.tolist(),
+        }
+    if type(value) not in _KIND_OF and not isinstance(value, _RECORDS):
+        raise ValueError(f"cannot serialize model of type {type(value).__name__}")
+    out = {_KEYS.get(k, k): _encode(getattr(value, k)) for k in _stored_fields(type(value))}
+    if type(value) in _KIND_OF:
+        out["kind"] = _KIND_OF[type(value)]
+    if isinstance(value, OneHiddenLayerNet):
+        out["threshold"] = value.threshold  # derived; ignored on load
+    return out
+
+
+def _decode(hint, value):
+    if value is None:
+        return None
+    if isinstance(hint, types.UnionType):  # an optional field: X | None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if hint is np.ndarray:
+        return np.array(value)
+    if hint is TreeNode:
+        return _node_from_dict(value)
+    if is_dataclass(hint):
+        return _from_fields(hint, value)
+    if isinstance(value, dict):
+        return model_from_dict(value)
+    if isinstance(value, list):
+        item = (typing.get_args(hint) or (object,))[0]
+        return tuple(_decode(item, v) for v in value)
+    return value
+
+
+def _from_fields(cls, obj):
+    if cls is KnnClassifier:
+        ds = LabeledDataset(np.array(obj["features"]), np.array(obj["labels"]))
+        return KnnClassifier(obj["k"], ds)
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _decode(hints[k], obj[_KEYS.get(k, k)]) for k in _stored_fields(cls)})
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, LdaModel):
-        return {
-            "kind": "lda",
-            "prior_pos": model.prior_pos,
-            "prior_neg": model.prior_neg,
-            "mean_pos": model.mean_pos.tolist(),
-            "mean_neg": model.mean_neg.tolist(),
-            "pooled_cov": model.pooled_cov.tolist(),
-            "ridge": model.ridge,
-            "weight": model.weight.tolist(),
-            "offset": model.offset,
-        }
-    if isinstance(model, ParzenModel):
-        return {
-            "kind": "parzen",
-            "bandwidth": model.bandwidth,
-            "points_pos": model.points_pos.tolist(),
-            "points_neg": model.points_neg.tolist(),
-            "prior_pos": model.prior_pos,
-            "prior_neg": model.prior_neg,
-        }
-    if isinstance(model, LinearHypothesis):
-        return {
-            "kind": "linear",
-            "weight": model.weight.tolist(),
-            "bias": model.bias,
-            "shift": None if model.shift is None else model.shift.tolist(),
-            "scale": None if model.scale is None else model.scale.tolist(),
-        }
-    if isinstance(model, KernelMachine):
-        return {
-            "kind": "kernel_machine",
-            "coefficients": model.coefficients.tolist(),
-            "bias": model.bias,
-            "support_points": model.support_points.tolist(),
-            "kernel": {
-                "kind": model.kernel.kind,
-                "c": model.kernel.c,
-                "sigma": model.kernel.sigma,
-            },
-        }
-    if isinstance(model, KnnClassifier):
-        return {
-            "kind": "knn",
-            "k": model.k,
-            "features": model.dataset.features.tolist(),
-            "labels": model.dataset.labels.tolist(),
-        }
-    if isinstance(model, DecisionTree):
-        return {
-            "kind": "tree",
-            "root": _node_to_dict(model.root),
-            "dim": model.dim,
-            "max_depth": model.max_depth,
-            "min_leaf_size": model.min_leaf_size,
-        }
-    if isinstance(model, Ensemble):
-        return {
-            "kind": "ensemble",
-            "members": [model_to_dict(m) for m in model.members],
-            "combiner": model.combiner,
-            "masks": None
-            if model.member_feature_masks is None
-            else [list(m) for m in model.member_feature_masks],
-        }
-    if isinstance(model, BoostModel):
-        return {
-            "kind": "boost",
-            "rounds": [
-                {
-                    "stump": model_to_dict(r.stump),
-                    "alpha": r.alpha,
-                    "weighted_error": r.weighted_error,
-                }
-                for r in model.rounds
-            ],
-        }
-    if isinstance(model, OneHiddenLayerNet):
-        return {
-            "kind": "net",
-            "hidden_weights": model.hidden_weights.tolist(),
-            "hidden_biases": model.hidden_biases.tolist(),
-            "output_weights": model.output_weights.tolist(),
-            "output_bias": model.output_bias,
-            "hidden_activation": model.hidden_activation,
-            "output_activation": model.output_activation,
-            "threshold": model.threshold,
-        }
-    if isinstance(model, PipelineClassifier):
-        return {
-            "kind": "pipeline",
-            "transforms": [_transform_to_dict(t) for t in model.transforms],
-            "model": model_to_dict(model.model),
-        }
-    raise ValueError(f"cannot serialize model of type {type(model).__name__}")
+    return _encode(model)
 
 
 def model_from_dict(obj: dict):
     kind = obj.get("kind")
-    if kind == "lda":
-        return LdaModel(
-            prior_pos=float(obj["prior_pos"]),
-            prior_neg=float(obj["prior_neg"]),
-            mean_pos=np.array(obj["mean_pos"]),
-            mean_neg=np.array(obj["mean_neg"]),
-            pooled_cov=np.array(obj["pooled_cov"]),
-            ridge=float(obj["ridge"]),
-            weight=np.array(obj["weight"]),
-            offset=float(obj["offset"]),
-        )
-    if kind == "parzen":
-        return ParzenModel(
-            bandwidth=float(obj["bandwidth"]),
-            points_pos=np.array(obj["points_pos"]),
-            points_neg=np.array(obj["points_neg"]),
-            prior_pos=float(obj["prior_pos"]),
-            prior_neg=float(obj["prior_neg"]),
-        )
-    if kind == "linear":
-        return LinearHypothesis(
-            np.array(obj["weight"]),
-            float(obj["bias"]),
-            None if obj["shift"] is None else np.array(obj["shift"]),
-            None if obj["scale"] is None else np.array(obj["scale"]),
-        )
-    if kind == "kernel_machine":
-        k = obj["kernel"]
-        return KernelMachine(
-            np.array(obj["coefficients"]),
-            float(obj["bias"]),
-            np.array(obj["support_points"]),
-            Kernel(k["kind"], float(k["c"]), float(k["sigma"])),
-        )
-    if kind == "knn":
-        return KnnClassifier(
-            int(obj["k"]),
-            LabeledDataset(np.array(obj["features"]), np.array(obj["labels"])),
-        )
-    if kind == "tree":
-        return DecisionTree(
-            _node_from_dict(obj["root"]),
-            int(obj["dim"]),
-            int(obj["max_depth"]),
-            int(obj["min_leaf_size"]),
-        )
-    if kind == "ensemble":
-        masks = obj["masks"]
-        return Ensemble(
-            tuple(model_from_dict(m) for m in obj["members"]),
-            obj["combiner"],
-            None if masks is None else tuple(tuple(m) for m in masks),
-        )
-    if kind == "boost":
-        return BoostModel(
-            tuple(
-                BoostRound(
-                    model_from_dict(r["stump"]),
-                    float(r["alpha"]),
-                    float(r["weighted_error"]),
-                )
-                for r in obj["rounds"]
-            )
-        )
-    if kind == "net":
-        return OneHiddenLayerNet(
-            np.array(obj["hidden_weights"]),
-            np.array(obj["hidden_biases"]),
-            np.array(obj["output_weights"]),
-            float(obj["output_bias"]),
-            obj["hidden_activation"],
-            obj["output_activation"],
-        )
-    if kind == "pipeline":
-        return PipelineClassifier(
-            tuple(_transform_from_dict(t) for t in obj["transforms"]),
-            model_from_dict(obj["model"]),
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return _from_fields(KINDS[kind], obj)
 
 
 def save_model(model, path) -> None:

@@ -1,13 +1,17 @@
 """End-to-end CLI runs: files in, files out, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from claslab.cli import main
+from claslab.cli import CURVES, ESTIMATORS, REQUIRED, TRAINERS, main
 from claslab.data import load_csv
 from claslab.evaluation import apparent_error
+from claslab.features import TRANSFORMS
 from claslab.oracle import equal_cov_problem, problem_to_json, sample
 from claslab.serialize import load_model
 
@@ -257,3 +261,245 @@ class TestBench:
             "out": str(workdir / "nope.csv"),
         }
         assert run(workdir, "bench", cfg) == 2
+
+
+# Golden outputs, captured under tests/fixtures/cli from the code before the
+# trainer/estimator registry replaced the hand-written dispatch.  "@problem"
+# and "@data" stand for the problem file and the dataset written by the first
+# (gen) case.
+BENCH_TRAINERS = [
+    {"name": "bayes"},
+    {"name": "lda", "params": {"unbiased_cov": True}},
+    {"name": "parzen", "params": {"bandwidth": 0.8}},
+    {"name": "logistic", "params": {"lambda": 0.01, "max_iters": 30}},
+    {"name": "least_squares", "params": {"lambda": 0.1}},
+    {"name": "linear", "params": {"loss": "hinge", "max_iters": 30, "step_size": 0.5}},
+    {"name": "kernel_ridge", "params": {"kernel": "rbf", "sigma": 1.5, "lambda": 0.5}},
+    {"name": "knn", "params": {"k": 3}},
+    {"name": "tree", "params": {"max_depth": 2, "min_leaf_size": 2}},
+    {"name": "bagging", "params": {"max_depth": 2, "m_rounds": 3}},
+    {"name": "random_subspace", "params": {"m_rounds": 3, "subspace_dim": 1}},
+    {"name": "adaboost", "params": {"t_rounds": 3}},
+    {"name": "net", "params": {"hidden_units": 2, "max_iters": 30, "hidden_activation": "relu"}},
+]
+GOLDEN_CASES = {
+    "gen.csv": ("gen", {"problem": "@problem", "n": 60, "seed": 21}),
+    "bench_kfold.csv": ("bench", {
+        "problem": "@problem", "n": 60, "seed": 22, "trainers": BENCH_TRAINERS,
+        "estimator": {"method": "kfold", "k": 3},
+    }),
+    "eval_apparent.json": ("eval", {
+        "dataset": "@data", "seed": 23,
+        "trainer": {"name": "lda", "params": {"laplace_priors": True, "ridge_cov": 0.01}},
+        "estimator": {"method": "apparent"},
+    }),
+    "eval_holdout.json": ("eval", {
+        "dataset": "@data", "seed": 24, "transform": "standardize+poly2",
+        "trainer": {"name": "least_squares", "params": {"lambda": 0.1}},
+        "estimator": {"method": "holdout", "test_fraction": 0.25, "stratified": True},
+    }),
+    "eval_kfold.json": ("eval", {
+        "dataset": "@data", "seed": 25, "transform": "noise:2+standardize",
+        "trainer": {"name": "knn", "params": {"k": 3}},
+        "estimator": {"method": "kfold", "k": 4, "stratified": True},
+    }),
+    "eval_loo.json": ("eval", {
+        "dataset": "@data", "seed": 26,
+        "trainer": {"name": "parzen", "params": {"bandwidth": 0.8}},
+        "estimator": {"method": "loo"},
+    }),
+    "eval_bootstrap_corrected.json": ("eval", {
+        "dataset": "@data", "seed": 27,
+        "trainer": {"name": "tree", "params": {"max_depth": 2}},
+        "estimator": {"method": "bootstrap_corrected", "m_rounds": 5},
+    }),
+    "eval_e632.json": ("eval", {
+        "problem": "@problem", "n": 40, "seed": 28, "transform": "select:1",
+        "trainer": {"name": "logistic", "params": {"lambda": 0.01, "max_iters": 30}},
+        "estimator": {"method": "e632", "m_rounds": 5},
+    }),
+    "curve_learning.csv": ("curve", {
+        "problem": "@problem", "seed": 29, "trainer": {"name": "lda"},
+        "curve": {"kind": "learning", "sizes": [10, 20], "repeats": 2, "n_test_mc": 500},
+    }),
+    "curve_feature_mc.csv": ("curve", {
+        "problem": "@problem", "seed": 30, "trainer": {"name": "least_squares"},
+        "curve": {"kind": "feature", "dims": [1, 2, 3], "repeats": 2, "n_train": 30,
+                  "n_test_mc": 500},
+    }),
+    "curve_feature_cv.csv": ("curve", {
+        "dataset": "@data", "seed": 31, "trainer": {"name": "knn", "params": {"k": 3}},
+        "curve": {"kind": "feature", "dims": [1, 3], "repeats": 2, "folds": 3},
+    }),
+    "train_pipeline.json": ("train", {
+        "dataset": "@data", "seed": 32, "transform": "standardize",
+        "trainer": {"name": "logistic", "params": {"max_iters": 30, "tolerance": 1e-4}},
+    }),
+    "train_net.json": ("train", {
+        "dataset": "@data", "seed": 33,
+        "trainer": {"name": "net", "params": {"hidden_units": 2, "max_iters": 30,
+                                              "output_activation": "logistic_sigmoid"}},
+    }),
+}
+
+
+def run_golden_cases(workdir):
+    """Run every golden case in order; return {output file name: bytes}."""
+    problem = workdir / "problem2d.json"
+    problem.write_text(json.dumps(PROBLEM_2D), encoding="utf-8")
+    places = {"@problem": str(problem), "@data": str(workdir / "gen.csv")}
+    outputs = {}
+    for out, (command, cfg) in GOLDEN_CASES.items():
+        cfg = {k: places.get(v, v) if isinstance(v, str) else v for k, v in cfg.items()}
+        assert run(workdir, command, {**cfg, "out": str(workdir / out)}) == 0, out
+        outputs[out] = (workdir / out).read_bytes()
+        report = workdir / (Path(out).stem + ".report.json")
+        if command == "train":
+            outputs[report.name] = report.read_bytes()
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def golden_outputs(tmp_path_factory):
+    return run_golden_cases(tmp_path_factory.mktemp("golden"))
+
+
+GOLDEN_DIR = Path(__file__).parent / "fixtures" / "cli"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))
+def test_outputs_match_golden_bytes(golden_outputs, name):
+    assert golden_outputs[name] == (GOLDEN_DIR / name).read_bytes()
+
+
+# Each config is wrong in one JSON type; all must exit 2 with a one-line message.
+BAD_CONFIGS = {
+    "top_level_list": ("eval", ["problem.json"]),
+    "trainer_is_a_string": ("eval", {"trainer": "lda"}),
+    "params_is_a_list": ("eval", {"trainer": {"name": "lda", "params": [1]}}),
+    "null_bandwidth": ("eval", {"trainer": {"name": "parzen", "params": {"bandwidth": None}}}),
+    "string_bool": ("eval", {"trainer": {"name": "lda", "params": {"laplace_priors": "false"}}}),
+    "fractional_k": ("eval", {"estimator": {"method": "kfold", "k": 2.7}}),
+    "sizes_not_a_list": ("curve", {"curve": {"kind": "learning", "sizes": 5}}),
+}
+
+
+def small_config(workdir, command):
+    """A valid, cheap config for eval, bench or curve."""
+    base = {"problem": str(workdir / "problem.json"), "seed": 1, "out": str(workdir / "out")}
+    if command == "eval":
+        return {**base, "n": 20, "transform": "standardize",
+                "trainer": {"name": "knn", "params": {"k": 3}},
+                "estimator": {"method": "kfold", "k": 2, "stratified": True}}
+    if command == "bench":
+        return {**base, "n": 20,
+                "trainers": [{"name": "lda"}, {"name": "parzen", "params": {"bandwidth": 0.5}}],
+                "estimator": {"method": "holdout", "test_fraction": 0.3}}
+    return {**base, "trainer": {"name": "lda"},
+            "curve": {"kind": "learning", "sizes": [10, 20], "repeats": 1, "n_test_mc": 100}}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_wrong_json_type_exits_2(workdir, capsys, case):
+    command, patch = BAD_CONFIGS[case]
+    assert run(workdir, command, small_config(workdir, command)) == 0
+    capsys.readouterr()
+    cfg = patch if isinstance(patch, list) else {**small_config(workdir, command), **patch}
+    assert run(workdir, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_memory_error_exits_3(workdir, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("claslab.cli.sample", no_memory)
+    cfg = {"problem": str(workdir / "problem.json"), "n": 10**12, "out": str(workdir / "x.csv")}
+    assert run(workdir, "gen", cfg) == 3
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
+def _json_paths(value, prefix=()):
+    """Every path into a JSON value, the empty path (the value itself) included."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-3.0, 3.0, allow_nan=False) | st.text(max_size=4)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def hypothesis_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("hypothesis")
+    (workdir / "problem.json").write_text(json.dumps(PROBLEM), encoding="utf-8")
+    return workdir
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(["eval", "bench", "curve"]))
+def test_any_wrong_json_type_keeps_the_exit_code_contract(hypothesis_dir, data, command):
+    cfg = small_config(hypothesis_dir, command)
+    path = data.draw(st.sampled_from(list(_json_paths(cfg))))
+    old = cfg
+    for key in path:
+        old = old[key]
+    # a value of another JSON type, so no size or iteration count can grow
+    new = data.draw(_JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    assert run(hypothesis_dir, command, _replaced(cfg, path, new)) in (0, 2, 3)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+              list[int]: "list of integers"}
+
+
+def readme_table(heading):
+    """{first-column name: second cell} of the table under a README heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(f"### {heading}\n", 1)[1].split("\n#", 1)[0]
+    rows = [ln.split(" | ") for ln in section.splitlines() if ln.startswith("| `")]
+    return {row[0][len("| `"):-1]: row[1].rstrip(" |") for row in rows}
+
+
+def schema_text(schema):
+    return ", ".join(
+        f"`{key}` {TYPE_NAMES[type_]}"
+        + (", required" if default is REQUIRED else f" = {json.dumps(default)}")
+        for key, (type_, default) in schema.items()
+    ) or "none"
+
+
+@pytest.mark.parametrize(
+    "heading, table", [("Trainers", TRAINERS), ("Estimators", ESTIMATORS), ("Curves", CURVES)]
+)
+def test_readme_lists_every_registry_entry_with_its_schema(heading, table):
+    documented = readme_table(heading)
+    assert list(documented) == list(table)
+    for name, (schema, _) in table.items():
+        assert documented[name] == schema_text(schema), name
+
+
+def test_readme_lists_every_transform():
+    # the registry keys a step that takes an argument with its ":"
+    names = {name.split(":")[0] + ":" * (":" in name) for name in readme_table("Transforms")}
+    assert names == set(TRANSFORMS)

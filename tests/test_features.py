@@ -160,7 +160,7 @@ class TestTransformSpecs:
     def test_parse_chain(self):
         chain = parse_transform_spec("noise:3+standardize+poly2+select:0,1", seed=5)
         assert isinstance(chain[0], AppendNoise) and chain[0].count == 3
-        assert chain[1] == ("standardize",)
+        assert chain[1] is Standardize
         assert isinstance(chain[2], Poly2Expand)
         assert chain[3] == Select((0, 1))
 

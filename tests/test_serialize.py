@@ -1,5 +1,8 @@
 """Every model kind must survive a JSON round trip bit-for-bit."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from claslab.features import make_pipeline_trainer
 from claslab.neural import NetTrainConfig, train_net
 from claslab.serialize import load_model, model_from_dict, model_to_dict, save_model
 
+FIXTURES = Path(__file__).parent / "fixtures" / "models"
 PROBLEM = cl.equal_cov_problem(0.5, [1.0, 0.4], [-1.0, -0.4])
 DS = cl.sample(PROBLEM, 50, seed=1)
 QUERIES = cl.sample(PROBLEM, 30, seed=2).features
@@ -44,6 +48,20 @@ def test_dict_roundtrip_preserves_predictions(name):
         )
 
 
+@pytest.mark.parametrize("name", list(fitted_models()))
+def test_saved_json_matches_golden_bytes(name, tmp_path):
+    # fixtures were written by the code before field-driven serialization
+    save_model(fitted_models()[name], tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_bytes() == (FIXTURES / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", list(fitted_models()))
+def test_golden_model_reloads_with_identical_scores(name):
+    expected = json.loads((FIXTURES / "decision_values.json").read_text())[name]
+    scores = load_model(FIXTURES / f"{name}.json").decision_function(QUERIES)
+    np.testing.assert_array_equal(np.asarray(scores, dtype=float), expected)
+
+
 def test_file_roundtrip_is_exact(tmp_path):
     model = cl.train_least_squares(DS, 0.1)
     path = tmp_path / "model.json"
@@ -64,3 +82,5 @@ def test_subspace_masks_survive(tmp_path):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown model kind"):
         model_from_dict({"kind": "mystery"})
+    with pytest.raises(ValueError, match="unknown model kind"):
+        model_from_dict({"kind": ["lda"]})
