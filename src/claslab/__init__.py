@@ -82,7 +82,7 @@ from .linear import (
     train_linear,
     train_logistic,
 )
-from .losses import Loss, get_loss, loss_grad, loss_value
+from .losses import Loss, get_loss
 from .neighbors import KnnClassifier, fit_knn, knn_classify
 from .neural import NetTrainConfig, OneHiddenLayerNet, net_forward, net_gradient, train_net
 from .oracle import (

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset, bootstrap_sample, child_seed, make_folds, split_holdout
-from .exceptions import EstimationError
+from .data import (
+    FoldAssignment, LabeledDataset, bootstrap_sample, child_seed, make_folds, split_holdout,
+)
+from .exceptions import DivergenceError, EstimationError, FitError, NumericError
 from .oracle import GaussianMixtureProblem, sample, true_error
 from . import features as _features
 
@@ -72,47 +74,60 @@ def holdout_error(
     )
 
 
+def _mistakes(trainer, ds: LabeledDataset, splits):
+    """Refit once per split; count its mistakes on each of its test row sets.
+
+    A split is (train rows, test rows, ...), each an index array into
+    ``ds`` or ``slice(None)`` for every row; yields one list of mistake
+    counts per split.  This is the one place an estimator refits.  A fit
+    that fails on its rows (``FitError``, ``NumericError``,
+    ``DivergenceError``) aborts the estimate with an ``EstimationError``
+    naming the held-out rows; a ``ValueError`` -- a bad parameter --
+    passes through unchanged.
+    """
+    for train, *tests in splits:
+        try:
+            model = trainer(ds.subset(train))
+        except (FitError, NumericError, DivergenceError) as exc:
+            held_out = ", ".join(map(str, np.setdiff1d(np.arange(ds.n), train)))
+            raise EstimationError(
+                f"trainer failed with held-out rows (index {held_out}): {exc}"
+            ) from exc
+        yield [int(np.sum(model.predict(ds.features[t]) != ds.labels[t])) for t in tests]
+
+
+def _cross_validate(trainer, ds: LabeledDataset, folds, method: str) -> ErrorEstimate:
+    splits = ((folds.train_indices(f), folds.test_indices(f)) for f in range(folds.k))
+    value = sum(m for (m,) in _mistakes(trainer, ds, splits)) / ds.n
+    return ErrorEstimate(value, method, error_std(value, ds.n))
+
+
 def kfold_cv(
-    trainer,
-    ds: LabeledDataset,
-    k: int,
-    stratified: bool = False,
-    seed: int = 0,
+    trainer, ds: LabeledDataset, k: int, stratified: bool = False, seed: int = 0
 ) -> ErrorEstimate:
     """Leave out each fold in turn; value = total mistakes / N."""
-    folds = make_folds(ds, k, stratified, seed)
-    mistakes = 0
-    for fold in range(k):
-        model = trainer(ds.subset(folds.train_indices(fold)))
-        test = ds.subset(folds.test_indices(fold))
-        mistakes += int(np.sum(model.predict(test.features) != test.labels))
-    value = mistakes / ds.n
-    return ErrorEstimate(value, "kfold", error_std(value, ds.n))
+    return _cross_validate(trainer, ds, make_folds(ds, k, stratified, seed), "kfold")
 
 
 def loo_cv(trainer, ds: LabeledDataset) -> ErrorEstimate:
-    """Leave-one-out: mean of N single-point test errors.
+    """Leave-one-out: k-fold with k = N, leaving the indices out in order.
 
     Needs N >= 3 so every training complement keeps at least two
     points; a trainer that cannot fit some complement (e.g. it lost a
     whole class) aborts the estimate, naming the left-out index.
     """
     if ds.n < 3:
-        raise EstimationError(
-            "leave-one-out needs N >= 3 so complements stay trainable"
-        )
-    mistakes = 0
-    for i in range(ds.n):
-        rest = np.delete(np.arange(ds.n), i)
-        try:
-            model = trainer(ds.subset(rest))
-        except Exception as exc:
-            raise EstimationError(
-                f"trainer failed on the complement of index {i}: {exc}"
-            ) from exc
-        mistakes += int(model.predict(ds.features[i : i + 1])[0] != ds.labels[i])
-    value = mistakes / ds.n
-    return ErrorEstimate(value, "loo", error_std(value, ds.n))
+        raise EstimationError("leave-one-out needs N >= 3 so complements stay trainable")
+    return _cross_validate(trainer, ds, FoldAssignment(np.arange(ds.n), ds.n), "loo")
+
+
+def _retry(draw, ok, what: str):
+    """The first of ten draws ``draw(attempt)`` that passes ``ok``."""
+    for attempt in range(10):
+        result = draw(attempt)
+        if ok(result):
+            return result
+    raise EstimationError(f"10 draws in a row gave {what}")
 
 
 def bootstrap_corrected(
@@ -125,17 +140,10 @@ def bootstrap_corrected(
     """
     if m_rounds < 1:
         raise ValueError("m_rounds must be at least 1")
-    full_model = trainer(ds)
-    apparent = zero_one_error(full_model, ds)
-    diffs = []
-    for r in range(m_rounds):
-        bs = bootstrap_sample(ds, child_seed(seed, r))
-        boot_ds = ds.subset(bs.indices)
-        model = trainer(boot_ds)
-        eps_a = zero_one_error(model, boot_ds)
-        eps_t = zero_one_error(model, ds)
-        diffs.append(eps_a - eps_t)
-    bias = float(np.mean(diffs))
+    apparent = zero_one_error(trainer(ds), ds)
+    boots = (bootstrap_sample(ds, child_seed(seed, r)) for r in range(m_rounds))
+    rounds = _mistakes(trainer, ds, ((bs.indices, bs.indices, slice(None)) for bs in boots))
+    bias = float(np.mean([a / ds.n - t / ds.n for a, t in rounds]))
     raw = apparent - bias
     value = min(1.0, max(0.0, raw))
     return ErrorEstimate(
@@ -155,24 +163,20 @@ def e632(trainer, ds: LabeledDataset, m_rounds: int, seed: int = 0) -> ErrorEsti
     if m_rounds < 1:
         raise ValueError("m_rounds must be at least 1")
     apparent = zero_one_error(trainer(ds), ds)
-    oob_mistakes = 0
-    oob_total = 0
-    for r in range(m_rounds):
-        bs = None
-        for attempt in range(10):
-            cand = bootstrap_sample(ds, child_seed(seed, r, attempt))
-            if cand.out_of_bag.size > 0:
-                bs = cand
-                break
-        if bs is None:
-            raise EstimationError(
-                f"bootstrap round {r} never produced an out-of-bag sample"
+    oob_sizes = []
+
+    def splits():  # drawn one round at a time, so memory does not grow with m_rounds
+        for r in range(m_rounds):
+            bs = _retry(
+                lambda attempt: bootstrap_sample(ds, child_seed(seed, r, attempt)),
+                lambda drawn: drawn.out_of_bag.size > 0,
+                f"no out-of-bag row in bootstrap round {r}",
             )
-        model = trainer(ds.subset(bs.indices))
-        oob = ds.subset(bs.out_of_bag)
-        oob_mistakes += int(np.sum(model.predict(oob.features) != oob.labels))
-        oob_total += oob.n
-    oob_error = oob_mistakes / oob_total
+            oob_sizes.append(bs.out_of_bag.size)
+            yield bs.indices, bs.out_of_bag
+
+    oob_mistakes = sum(m for (m,) in _mistakes(trainer, ds, splits()))
+    oob_error = oob_mistakes / sum(oob_sizes)
     value = e632_combine(apparent, oob_error)
     return ErrorEstimate(
         value,
@@ -182,15 +186,29 @@ def e632(trainer, ds: LabeledDataset, m_rounds: int, seed: int = 0) -> ErrorEsti
     )
 
 
-def _sample_trainable(problem, n, seed, size_key, repeat):
-    """Sample a training set, retrying (new derived seed) if one class is absent."""
-    for attempt in range(10):
-        ds = sample(problem, n, child_seed(seed, size_key, repeat, attempt))
-        if 0 < ds.n_pos < ds.n:
-            return ds
-    raise EstimationError(
-        f"10 samples of size {n} in a row contained a single class"
-    )
+def _oracle_fits(trainer, problem, n: int, repeats: int, n_test_mc: int, seed: int, key: int):
+    """Per repeat: (training set, fitted model, Monte-Carlo true error).
+
+    Each training set is a fresh two-class sample of size ``n`` (a
+    single-class draw is redrawn from a new derived seed).
+    """
+    for rep in range(repeats):
+        ds = _retry(
+            lambda attempt: sample(problem, n, child_seed(seed, key, rep, attempt)),
+            lambda drawn: 0 < drawn.n_pos < drawn.n,
+            f"a single-class sample of size {n}",
+        )
+        model = trainer(ds)
+        yield ds, model, true_error(model, problem, n_test_mc, child_seed(seed, key, rep, 999))
+
+
+def _check_grid(values, name: str, repeats: int) -> list:
+    values = list(values)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    return values
 
 
 def _aggregate(values):
@@ -215,52 +233,17 @@ def learning_curve(
     """
     if not isinstance(problem, GaussianMixtureProblem):
         raise ValueError("a learning curve needs a problem to sample, not a dataset")
-    sizes = list(sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly increasing")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    sizes = _check_grid(sizes, "sizes", repeats)
     true_points, app_points = [], []
     for si, n in enumerate(sizes):
-        true_vals, app_vals = [], []
-        for rep in range(repeats):
-            ds = _sample_trainable(problem, n, seed, si, rep)
-            model = trainer(ds)
-            app_vals.append(zero_one_error(model, ds))
-            true_vals.append(
-                true_error(model, problem, n_test_mc, child_seed(seed, si, rep, 999))
-            )
-        true_points.append((n, *_aggregate(true_vals)))
-        app_points.append((n, *_aggregate(app_vals)))
+        fits = _oracle_fits(trainer, problem, n, repeats, n_test_mc, seed, si)
+        errors = [(err, zero_one_error(model, ds)) for ds, model, err in fits]
+        true_points.append((n, *_aggregate([err for err, _ in errors])))
+        app_points.append((n, *_aggregate([app for _, app in errors])))
     meta = {"trainer": trainer_name, "seed": seed, "estimate": "mc"}
     return (
         Curve("learning_true", tuple(true_points), meta),
         Curve("learning_apparent", tuple(app_points), dict(meta)),
-    )
-
-
-def _truncate_problem(problem, d):
-    return GaussianMixtureProblem(
-        problem.prior_pos,
-        problem.mean_pos[:d],
-        problem.mean_neg[:d],
-        problem.cov_pos[:d, :d],
-        problem.cov_neg[:d, :d],
-    )
-
-
-def _extend_problem(problem, d):
-    extra = d - problem.dim
-    mp = np.concatenate([problem.mean_pos, np.zeros(extra)])
-    mn = np.concatenate([problem.mean_neg, np.zeros(extra)])
-
-    def pad(cov):
-        out = np.eye(d)
-        out[: problem.dim, : problem.dim] = cov
-        return out
-
-    return GaussianMixtureProblem(
-        problem.prior_pos, mp, mn, pad(problem.cov_pos), pad(problem.cov_neg)
     )
 
 
@@ -270,9 +253,11 @@ def adapt_problem_dim(problem: GaussianMixtureProblem, d: int) -> GaussianMixtur
         raise ValueError("dimension must be at least 1")
     if d == problem.dim:
         return problem
-    if d < problem.dim:
-        return _truncate_problem(problem, d)
-    return _extend_problem(problem, d)
+    k = min(d, problem.dim)
+    mp, mn, cp, cn = np.zeros(d), np.zeros(d), np.eye(d), np.eye(d)
+    mp[:k], mn[:k] = problem.mean_pos[:k], problem.mean_neg[:k]
+    cp[:k, :k], cn[:k, :k] = problem.cov_pos[:k, :k], problem.cov_neg[:k, :k]
+    return GaussianMixtureProblem(problem.prior_pos, mp, mn, cp, cn)
 
 
 def feature_curve(
@@ -294,23 +279,16 @@ def feature_curve(
     dataset the error is k-fold CV on the dataset with columns selected
     or noise columns appended; metadata records which route was used.
     """
-    dims = list(dims)
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims must be strictly increasing")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+    dims = _check_grid(dims, "dims", repeats)
     oracle_mode = isinstance(source, GaussianMixtureProblem)
     points = []
     for di, d in enumerate(dims):
-        vals = []
         if oracle_mode:
             prob_d = adapt_problem_dim(source, d)
-            for rep in range(repeats):
-                ds = _sample_trainable(prob_d, n_train, seed, di, rep)
-                model = trainer(ds)
-                vals.append(
-                    true_error(model, prob_d, n_test_mc, child_seed(seed, di, rep, 999))
-                )
+            vals = [
+                err for *_, err in
+                _oracle_fits(trainer, prob_d, n_train, repeats, n_test_mc, seed, di)
+            ]
         else:
             if d <= source.dim:
                 ds_d = _features.Select(tuple(range(d))).apply(source)
@@ -318,13 +296,10 @@ def feature_curve(
                 ds_d = _features.append_noise(
                     source, d - source.dim, child_seed(seed, di)
                 )
-            for rep in range(repeats):
-                vals.append(
-                    kfold_cv(
-                        trainer, ds_d, folds, stratified=False,
-                        seed=child_seed(seed, di, rep),
-                    ).value
-                )
+            vals = [
+                kfold_cv(trainer, ds_d, folds, seed=child_seed(seed, di, rep)).value
+                for rep in range(repeats)
+            ]
         points.append((d, *_aggregate(vals)))
     meta = {
         "trainer": trainer_name,

@@ -29,6 +29,10 @@ from .data import LabeledDataset, child_seed
 class FeatureTransform:
     """Deterministic map from one dataset to another; labels untouched."""
 
+    # True for a step drawn afresh for each dataset: it cannot map query
+    # points, so it is applied to the data before training, never in a pipeline
+    per_dataset = False
+
     def fit(self, ds: LabeledDataset) -> "FeatureTransform":
         """The transform to use for training data ``ds``: itself unless learned."""
         return self
@@ -89,6 +93,7 @@ class Standardize(FeatureTransform):
 class AppendNoise(FeatureTransform):
     count: int
     seed: int = 0
+    per_dataset = True
 
     def output_dim(self, d):
         return d + self.count
@@ -138,6 +143,10 @@ TRANSFORMS = {
 }
 
 
+def _parts(spec: str) -> list:
+    return [p.strip() for p in spec.split("+")] if spec else []
+
+
 def parse_transform_spec(spec: str, seed: int = 0):
     """Turn ``"standardize+poly2"`` &c. into a list of chain steps.
 
@@ -146,7 +155,7 @@ def parse_transform_spec(spec: str, seed: int = 0):
     whose ``fit`` learns the parameters (see :func:`fit_transform_chain`).
     """
     chain = []
-    for i, part in enumerate(p.strip() for p in spec.split("+")):
+    for i, part in enumerate(_parts(spec)):
         name, colon, arg = part.partition(":")
         if name + colon not in TRANSFORMS:
             raise ValueError(f"unknown transform {part!r}")
@@ -190,24 +199,18 @@ class PipelineClassifier:
 
 
 def split_transform_spec(spec: str):
-    """Split a chain into (dataset-level noise prefix, pointwise remainder).
+    """Split a chain into (per-dataset prefix, pointwise remainder).
 
-    Noise steps draw fresh columns per dataset and therefore cannot sit
-    inside a prediction pipeline; they are only allowed as a prefix of
-    the chain, to be applied to the data before training or estimating.
+    Per-dataset steps (noise) draw fresh columns per dataset and therefore
+    cannot sit inside a prediction pipeline; they are only allowed as a
+    prefix of the chain, to be applied to the data before training or
+    estimating.
     """
-    parts = [p.strip() for p in spec.split("+")] if spec else []
-    noise_parts, rest = [], []
-    for part in parts:
-        if part.startswith("noise:"):
-            if rest:
-                raise ValueError(
-                    "noise steps must come before pointwise transforms"
-                )
-            noise_parts.append(part)
-        else:
-            rest.append(part)
-    return "+".join(noise_parts), "+".join(rest)
+    flags = [step.per_dataset for step in parse_transform_spec(spec)]
+    if flags != sorted(flags, reverse=True):
+        raise ValueError("noise steps must come before pointwise transforms")
+    parts = _parts(spec)
+    return "+".join(parts[: sum(flags)]), "+".join(parts[sum(flags) :])
 
 
 def make_pipeline_trainer(spec: str, base_trainer, seed: int = 0):
@@ -218,8 +221,8 @@ def make_pipeline_trainer(spec: str, base_trainer, seed: int = 0):
     the returned pipeline, so estimator resampling never leaks test
     statistics into the fit.
     """
-    chain = parse_transform_spec(spec, seed) if spec else []
-    if any(isinstance(t, AppendNoise) for t in chain):
+    chain = parse_transform_spec(spec, seed)
+    if any(step.per_dataset for step in chain):
         raise ValueError(
             "noise steps belong to the dataset, not a pipeline; "
             "see split_transform_spec"

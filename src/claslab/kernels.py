@@ -123,12 +123,6 @@ def km_decision(km: KernelMachine, x):
     return float(scores[0]) if np.ndim(x) == 1 else scores
 
 
-def euclidean_measure(p, o) -> float:
-    p = np.asarray(p, dtype=float)
-    o = np.asarray(o, dtype=float)
-    return float(np.sqrt(np.sum((p - o) ** 2)))
-
-
 @dataclass(frozen=True)
 class DissimilarityMap:
     """D prototypes plus a nonnegative measure delta(prototype, object)."""

@@ -88,11 +88,3 @@ class Loss:
 
 def get_loss(name: str) -> Loss:
     return Loss(name)
-
-
-def loss_value(loss: Loss, a, b):
-    return loss.value(a, b)
-
-
-def loss_grad(loss: Loss, a, b):
-    return loss.grad(a, b)

@@ -169,6 +169,48 @@ class TestEval:
         }
         assert run(workdir, "eval", cfg) == 2
 
+    @pytest.mark.parametrize("method", ["loo", "kfold", "holdout"])
+    @pytest.mark.parametrize("trainer", [
+        {"name": "parzen", "params": {"bandwidth": 0.0}},
+        {"name": "linear", "params": {"loss": "nope"}},
+    ])
+    def test_bad_parameter_exits_2_under_every_resampling(self, workdir, capsys, method, trainer):
+        # the trainer only rejects these values when it fits, inside the resampling loop
+        cfg = {
+            "problem": str(workdir / "problem.json"),
+            "n": 20,
+            "trainer": trainer,
+            "estimator": {"method": method},
+            "out": str(workdir / "bad.json"),
+        }
+        assert run(workdir, "eval", cfg) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_noise_after_a_pointwise_step_exits_2(self, workdir, capsys):
+        cfg = {
+            "problem": str(workdir / "problem.json"),
+            "n": 20,
+            "transform": "standardize+noise:2",
+            "trainer": {"name": "lda"},
+            "estimator": {"method": "kfold"},
+            "out": str(workdir / "bad.json"),
+        }
+        assert run(workdir, "eval", cfg) == 2
+        assert "noise steps must come before" in capsys.readouterr().err
+
+    def test_fit_failure_inside_resampling_exits_3_naming_rows(self, workdir, capsys):
+        (workdir / "one_pos.csv").write_text(
+            "x,label\n0.0,1\n1.0,-1\n2.0,-1\n3.0,-1\n", encoding="utf-8"
+        )
+        cfg = {
+            "dataset": str(workdir / "one_pos.csv"),
+            "trainer": {"name": "lda"},
+            "estimator": {"method": "kfold", "k": 4},
+            "out": str(workdir / "est.json"),
+        }
+        assert run(workdir, "eval", cfg) == 3
+        assert "held-out rows (index 0)" in capsys.readouterr().err
+
 
 class TestCurve:
     def test_learning_curve_row_count(self, workdir):

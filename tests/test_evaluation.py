@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from claslab.data import LabeledDataset, bootstrap_sample, child_seed
+from claslab.data import LabeledDataset, bootstrap_sample, child_seed, make_folds
 from claslab.evaluation import (
+    ErrorEstimate,
     apparent_error,
     bootstrap_corrected,
     e632,
@@ -17,8 +18,9 @@ from claslab.evaluation import (
     loo_cv,
     zero_one_error,
 )
-from claslab.exceptions import EstimationError
+from claslab.exceptions import EstimationError, FitError
 from claslab.generative import fit_lda
+from claslab.linear import train_least_squares
 from claslab.neighbors import fit_knn
 from claslab.oracle import equal_cov_problem, sample
 
@@ -128,6 +130,30 @@ class TestCrossValidation:
         ds = LabeledDataset([[0.0], [1.0], [2.0]], [1, -1, -1])
         with pytest.raises(EstimationError, match="index 0"):
             loo_cv(fit_lda, ds)
+
+    def test_fit_error_in_a_fold_names_its_held_out_rows(self):
+        ds = sample(equal_cov_problem(0.5, [1.0], [-1.0]), 12, seed=4)
+        folds = make_folds(ds, 3, seed=5)
+        held_out = folds.test_indices(folds.fold_index[7])
+
+        def needs_row_7(d):
+            if not np.any(np.all(d.features == ds.features[7], axis=1)):
+                raise FitError("row 7 is missing")
+            return fit_lda(d)
+
+        expected = f"index {', '.join(map(str, held_out))}"
+        with pytest.raises(EstimationError, match=expected) as info:
+            kfold_cv(needs_row_7, ds, 3, seed=5)
+        assert isinstance(info.value.__cause__, FitError)
+
+    def test_bad_parameter_passes_through_unwrapped(self):
+        def bad_parameter(d):
+            raise ValueError("bandwidth must be positive")
+
+        with pytest.raises(ValueError, match="bandwidth"):
+            loo_cv(bad_parameter, THREE)
+        with pytest.raises(ValueError, match="bandwidth"):
+            kfold_cv(bad_parameter, THREE, 3)
 
     def test_memorizing_trainer_fails_every_fold(self):
         ds = LabeledDataset(np.arange(6.0).reshape(6, 1), [-1] * 6)
@@ -257,3 +283,96 @@ class TestCurves:
         a, _ = learning_curve(fit_lda, problem, [30], 3, 2000, seed=23)
         b, _ = learning_curve(fit_lda, problem, [30], 3, 2000, seed=23)
         assert a.points == b.points
+
+
+# The hand-written loops the estimators had before they shared one resampling
+# core, kept as the reference the core must reproduce exactly.
+def reference_kfold_cv(trainer, ds, k, stratified=False, seed=0):
+    folds = make_folds(ds, k, stratified, seed)
+    mistakes = 0
+    for fold in range(k):
+        model = trainer(ds.subset(folds.train_indices(fold)))
+        test = ds.subset(folds.test_indices(fold))
+        mistakes += int(np.sum(model.predict(test.features) != test.labels))
+    value = mistakes / ds.n
+    return ErrorEstimate(value, "kfold", error_std(value, ds.n))
+
+
+def reference_loo_cv(trainer, ds):
+    mistakes = 0
+    for i in range(ds.n):
+        rest = np.delete(np.arange(ds.n), i)
+        model = trainer(ds.subset(rest))
+        mistakes += int(model.predict(ds.features[i : i + 1])[0] != ds.labels[i])
+    value = mistakes / ds.n
+    return ErrorEstimate(value, "loo", error_std(value, ds.n))
+
+
+def reference_bootstrap_corrected(trainer, ds, m_rounds, seed=0):
+    full_model = trainer(ds)
+    apparent = zero_one_error(full_model, ds)
+    diffs = []
+    for r in range(m_rounds):
+        bs = bootstrap_sample(ds, child_seed(seed, r))
+        boot_ds = ds.subset(bs.indices)
+        model = trainer(boot_ds)
+        eps_a = zero_one_error(model, boot_ds)
+        eps_t = zero_one_error(model, ds)
+        diffs.append(eps_a - eps_t)
+    bias = float(np.mean(diffs))
+    raw = apparent - bias
+    value = min(1.0, max(0.0, raw))
+    return ErrorEstimate(
+        value, "bootstrap_corrected", error_std(value, ds.n),
+        {"apparent": apparent, "bias": bias, "raw": raw},
+    )
+
+
+def reference_e632(trainer, ds, m_rounds, seed=0):
+    apparent = zero_one_error(trainer(ds), ds)
+    oob_mistakes = 0
+    oob_total = 0
+    for r in range(m_rounds):
+        bs = None
+        for attempt in range(10):
+            cand = bootstrap_sample(ds, child_seed(seed, r, attempt))
+            if cand.out_of_bag.size > 0:
+                bs = cand
+                break
+        model = trainer(ds.subset(bs.indices))
+        oob = ds.subset(bs.out_of_bag)
+        oob_mistakes += int(np.sum(model.predict(oob.features) != oob.labels))
+        oob_total += oob.n
+    oob_error = oob_mistakes / oob_total
+    value = e632_combine(apparent, oob_error)
+    return ErrorEstimate(
+        value, "e632", error_std(value, ds.n),
+        {"apparent": apparent, "out_of_bootstrap": oob_error},
+    )
+
+
+REFERENCE_TRAINERS = {
+    "lda": fit_lda,
+    "knn": lambda d: fit_knn(d, 3),
+    "least_squares": lambda d: train_least_squares(d, 0.1),
+}
+
+
+@pytest.mark.parametrize("trainer", list(REFERENCE_TRAINERS))
+@pytest.mark.parametrize("case", range(4))
+def test_estimators_equal_the_hand_written_loops(trainer, case):
+    rng = np.random.default_rng(case)
+    dim = int(rng.integers(1, 4))
+    problem = equal_cov_problem(0.5, rng.normal(size=dim), rng.normal(size=dim))
+    ds = sample(problem, int(rng.integers(20, 45)), seed=case)
+    train = REFERENCE_TRAINERS[trainer]
+    seed, k, rounds = int(rng.integers(1000)), int(rng.integers(2, 7)), int(rng.integers(1, 12))
+    for stratified in (False, True):
+        assert kfold_cv(train, ds, k, stratified, seed) == reference_kfold_cv(
+            train, ds, k, stratified, seed
+        )
+    assert loo_cv(train, ds) == reference_loo_cv(train, ds)
+    assert bootstrap_corrected(train, ds, rounds, seed) == reference_bootstrap_corrected(
+        train, ds, rounds, seed
+    )
+    assert e632(train, ds, rounds, seed) == reference_e632(train, ds, rounds, seed)

@@ -1,11 +1,15 @@
 """Feature transforms, noise augmentation, forward selection, pipelines."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from claslab.data import LabeledDataset
 from claslab.features import (
+    TRANSFORMS,
     AppendNoise,
+    FeatureTransform,
     PipelineClassifier,
     Poly2Expand,
     Select,
@@ -173,6 +177,19 @@ class TestTransformSpecs:
         assert split_transform_spec("poly2") == ("", "poly2")
         with pytest.raises(ValueError, match="before"):
             split_transform_spec("standardize+noise:2")
+
+    def test_per_dataset_flag_alone_decides_the_split(self, monkeypatch):
+        @dataclass(frozen=True)
+        class Jitter(FeatureTransform):
+            seed: int
+            per_dataset = True
+
+        monkeypatch.setitem(TRANSFORMS, "jitter", lambda arg, seed: Jitter(seed))
+        assert split_transform_spec("jitter+noise:1+poly2") == ("jitter+noise:1", "poly2")
+        with pytest.raises(ValueError, match="before"):
+            split_transform_spec("poly2+jitter")
+        with pytest.raises(ValueError, match="pipeline"):
+            make_pipeline_trainer("jitter", fit_lda)
 
     def test_fit_transform_chain_fits_standardize(self):
         ds = LabeledDataset([[0.0], [2.0]], [1, -1])
