@@ -30,3 +30,13 @@ def as_matrix(X, dim: int) -> np.ndarray:
     if arr.shape[1] != dim:
         raise ValueError(f"expected {dim}-dimensional inputs, got {arr.shape[1]}")
     return arr
+
+
+def point_or_batch(answer, x, dim: int):
+    """``answer`` applied to x as an (n, dim) batch.
+
+    A single vector x gives the answer's one element as a Python scalar;
+    anything else gives the answer's array.
+    """
+    out = answer(as_matrix(x, dim))
+    return out[0].item() if np.ndim(x) == 1 else out

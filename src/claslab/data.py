@@ -231,6 +231,12 @@ def split_holdout(
     Stratified mode keeps each class's test count within 1 of its exact
     proportional share.  The two index sets are disjoint and exhaustive.
     """
+    train_idx, test_idx = _holdout_rows(ds, test_fraction, stratified, seed)
+    return ds.subset(train_idx), ds.subset(test_idx)
+
+
+def _holdout_rows(ds: LabeledDataset, test_fraction: float, stratified: bool, seed: int):
+    """The sorted (train, test) row indices of :func:`split_holdout`."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     n = ds.n
@@ -255,8 +261,7 @@ def split_holdout(
         test_idx = np.sort(perm[:n_test])
     mask = np.zeros(n, dtype=bool)
     mask[test_idx] = True
-    train_idx = np.flatnonzero(~mask)
-    return ds.subset(train_idx), ds.subset(test_idx)
+    return np.flatnonzero(~mask), test_idx
 
 
 def make_folds(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DecisionFunction, as_matrix, sign_labels
+from .base import DecisionFunction, as_matrix, point_or_batch, sign_labels
 from .data import LabeledDataset, bootstrap_sample, child_seed
 from .trees import DecisionTree, fit_tree
 
@@ -29,6 +29,15 @@ class TreeConfig:
     min_leaf_size: int = 1
 
 
+def _fuse(scores, combiner: str):
+    """Vote sum or mean score over the members (axis 0)."""
+    if combiner == "majority_vote":
+        return sign_labels(scores).sum(axis=0).astype(float)
+    if combiner == "mean_score":
+        return scores.mean(axis=0)
+    raise ValueError(f"unknown combiner {combiner!r}")
+
+
 def combine(scores, combiner: str):
     """Fuse per-member outputs into a label; ties always go to +1.
 
@@ -38,13 +47,7 @@ def combine(scores, combiner: str):
     arr = np.asarray(scores, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one member output")
-    if combiner == "majority_vote":
-        fused = sign_labels(arr).sum(axis=0)
-    elif combiner == "mean_score":
-        fused = arr.mean(axis=0)
-    else:
-        raise ValueError(f"unknown combiner {combiner!r}")
-    labels = sign_labels(fused)
+    labels = sign_labels(_fuse(arr, combiner))
     return int(labels) if arr.ndim == 1 else labels
 
 
@@ -73,10 +76,7 @@ class Ensemble(DecisionFunction):
 
     def decision_function(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        scores = self._member_scores(X)
-        if self.combiner == "majority_vote":
-            return sign_labels(scores).sum(axis=0).astype(float)
-        return scores.mean(axis=0)
+        return _fuse(self._member_scores(X), self.combiner)
 
 
 def bagging(
@@ -174,5 +174,4 @@ def adaboost(ds: LabeledDataset, t_rounds: int) -> BoostModel:
 
 
 def boost_score(model: BoostModel, x):
-    scores = model.decision_function(as_matrix(x, model.dim))
-    return float(scores[0]) if np.ndim(x) == 1 else scores
+    return point_or_batch(model.decision_function, x, model.dim)

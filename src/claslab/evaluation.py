@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (
-    FoldAssignment, LabeledDataset, bootstrap_sample, child_seed, make_folds, split_holdout,
+    FoldAssignment, LabeledDataset, _holdout_rows, bootstrap_sample, child_seed, make_folds,
 )
 from .exceptions import DivergenceError, EstimationError, FitError, NumericError
 from .oracle import GaussianMixtureProblem, sample, true_error
@@ -67,10 +67,11 @@ def holdout_error(
     stratified: bool = False,
 ) -> ErrorEstimate:
     """Train on one split side, count mistakes on the held-out side."""
-    train, test = split_holdout(ds, test_fraction, stratified, seed)
-    value = zero_one_error(trainer(train), test)
+    train, test = _holdout_rows(ds, test_fraction, stratified, seed)
+    [[mistakes]] = _mistakes(trainer, ds, [(train, test)])
+    value = mistakes / test.size
     return ErrorEstimate(
-        value, "holdout", error_std(value, test.n), {"n_test": test.n}
+        value, "holdout", error_std(value, test.size), {"n_test": test.size}
     )
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import DecisionFunction
 from .data import LabeledDataset, child_seed
 
 
@@ -175,7 +176,7 @@ def fit_transform_chain(chain, ds: LabeledDataset):
 
 
 @dataclass(frozen=True)
-class PipelineClassifier:
+class PipelineClassifier(DecisionFunction):
     """A fitted transform chain in front of a fitted classifier.
 
     The chain was fitted on the training data only, so evaluating new
@@ -193,9 +194,6 @@ class PipelineClassifier:
 
     def decision_function(self, X):
         return self.model.decision_function(self._map(X))
-
-    def predict(self, X):
-        return self.model.predict(self._map(X))
 
 
 def split_transform_spec(spec: str):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .base import DecisionFunction, as_matrix
+from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
 
@@ -47,11 +47,11 @@ class LdaModel(DecisionFunction):
         return X @ self.weight + self.offset
 
 
-def _class_means(ds):
+def _positive_rows(ds):
     pos = ds.labels == 1
     if not pos.any() or pos.all():
         raise FitError("both classes must be present to fit this model")
-    return ds.features[pos].mean(axis=0), ds.features[~pos].mean(axis=0), pos
+    return pos
 
 
 def fit_lda(
@@ -70,7 +70,8 @@ def fit_lda(
     """
     if ridge_cov < 0:
         raise ValueError("ridge_cov must be nonnegative")
-    mean_pos, mean_neg, pos = _class_means(ds)
+    pos = _positive_rows(ds)
+    mean_pos, mean_neg = ds.features[pos].mean(axis=0), ds.features[~pos].mean(axis=0)
     n, d = ds.features.shape
     if laplace_priors:
         prior_pos = (ds.n_pos + 1.0) / (n + 2.0)
@@ -117,8 +118,7 @@ def fit_lda(
 
 def lda_decision(model: LdaModel, x):
     """weight . x + offset; sign classifies, 0 goes to +1."""
-    scores = model.decision_function(as_matrix(x, model.dim))
-    return float(scores[0]) if np.ndim(x) == 1 else scores
+    return point_or_batch(model.decision_function, x, model.dim)
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,7 @@ def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
     """Store the training points; all smoothing happens at query time."""
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    pos = ds.labels == 1
-    if not pos.any() or pos.all():
-        raise FitError("both classes must be present to fit this model")
+    pos = _positive_rows(ds)
     return ParzenModel(
         bandwidth=float(bandwidth),
         points_pos=ds.features[pos],
@@ -171,5 +169,4 @@ def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
 
 def parzen_decision(model: ParzenModel, x):
     """Log ratio of the weighted class density estimates at x."""
-    scores = model.decision_function(as_matrix(x, model.dim))
-    return float(scores[0]) if np.ndim(x) == 1 else scores
+    return point_or_batch(model.decision_function, x, model.dim)

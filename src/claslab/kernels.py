@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix
+from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 from .exceptions import NumericError
 
@@ -119,8 +119,7 @@ def train_kernel_machine(
 
 
 def km_decision(km: KernelMachine, x):
-    scores = km.decision_function(as_matrix(x, km.dim))
-    return float(scores[0]) if np.ndim(x) == 1 else scores
+    return point_or_batch(km.decision_function, x, km.dim)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .base import DecisionFunction, as_matrix
+from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 from .exceptions import DivergenceError, NumericError
-from .losses import Loss, get_loss
+from .features import Standardize
+from .losses import get_loss
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
@@ -31,10 +32,13 @@ class TrainInfo:
     """How a gradient-descent run ended."""
 
     iterations: int
-    converged: bool
     termination: str  # "tolerance" | "max_iters"
     objective: float
     objective_history: tuple[float, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "tolerance"
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,9 @@ def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
         raise ValueError(
             "cannot train on the 0-1 loss (NP-hard); pick a surrogate loss"
         )
-    X, y = ds.features, ds.labels
-    shift = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    Z = (X - shift) / scale
+    standardize = Standardize.fit(ds)
+    shift, scale, y = standardize.mean, standardize.std, ds.labels
+    Z = standardize.map(ds.features)
 
     v = np.zeros(ds.dim)
     v0 = 0.0
@@ -152,7 +154,6 @@ def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
     bias = v0 - float(weight @ shift)
     info = TrainInfo(
         iterations=iterations,
-        converged=termination == "tolerance",
         termination=termination,
         objective=obj,
         objective_history=tuple(history),
@@ -192,6 +193,4 @@ def train_least_squares(ds: LabeledDataset, lam: float = 0.0) -> LinearHypothesi
 
 def posterior_pos(h: LinearHypothesis, x):
     """Posterior probability of the positive class, exp(s)/(1 + exp(s))."""
-    scores = h.decision_function(as_matrix(x, h.dim))
-    post = expit(scores)
-    return float(post[0]) if np.ndim(x) == 1 else post
+    return point_or_batch(lambda X: expit(h.decision_function(X)), x, h.dim)

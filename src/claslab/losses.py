@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import sign_labels
+
 LN2 = float(np.log(2.0))
 
 
 def _zero_one(a, b):
-    # sign(0) = +1: a >= 0 predicts +1
-    return np.where(np.where(a >= 0.0, 1, -1) != b, 1.0, 0.0)
+    return np.where(sign_labels(a) != b, 1.0, 0.0)
 
 
 def _logistic(m):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix
+from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 
 _CHUNK = 1024  # query rows per distance block
@@ -67,5 +67,4 @@ def fit_knn(ds: LabeledDataset, k: int) -> KnnClassifier:
 
 def knn_classify(model: KnnClassifier, x):
     """Majority label among the k nearest stored points."""
-    pred = model.predict(as_matrix(x, model.dim))
-    return int(pred[0]) if np.ndim(x) == 1 else pred
+    return point_or_batch(model.predict, x, model.dim)

@@ -14,12 +14,12 @@ identity output and {0, 1} for a sigmoid output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
-from .base import DecisionFunction, as_matrix
+from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 from .exceptions import DivergenceError
 from .linear import TrainInfo
@@ -64,21 +64,22 @@ class OneHiddenLayerNet(DecisionFunction):
     def threshold(self) -> float:
         return 0.5 if self.output_activation == "logistic_sigmoid" else 0.0
 
-    def forward(self, X) -> np.ndarray:
-        X = as_matrix(X, self.dim)
-        hidden = _act(self.hidden_activation, X @ self.hidden_weights.T + self.hidden_biases)
+    def _layers(self, X):
+        """(hidden pre-activations, hidden activations, output) of an (n, d) batch."""
+        z = X @ self.hidden_weights.T + self.hidden_biases
+        hidden = _act(self.hidden_activation, z)
         pre = hidden @ self.output_weights + self.output_bias
-        if self.output_activation == "identity":
-            return pre
-        return expit(pre)
+        return z, hidden, pre if self.output_activation == "identity" else expit(pre)
+
+    def forward(self, X) -> np.ndarray:
+        return self._layers(as_matrix(X, self.dim))[2]
 
     def decision_function(self, X):
         return self.forward(X) - self.threshold
 
 
 def net_forward(net: OneHiddenLayerNet, x):
-    out = net.forward(as_matrix(x, net.dim))
-    return float(out[0]) if np.ndim(x) == 1 else out
+    return point_or_batch(net.forward, x, net.dim)
 
 
 @dataclass(frozen=True)
@@ -120,17 +121,9 @@ def net_gradient(net: OneHiddenLayerNet, X, targets):
     Returns (dW, db, dv, dc) matching the shapes of the net's fields.
     """
     X = as_matrix(X, net.dim)
-    n = X.shape[0]
-    z = X @ net.hidden_weights.T + net.hidden_biases
-    hidden = _act(net.hidden_activation, z)
-    pre = hidden @ net.output_weights + net.output_bias
-    if net.output_activation == "identity":
-        out = pre
-        dout_dpre = np.ones_like(pre)
-    else:
-        out = expit(pre)
-        dout_dpre = out * (1.0 - out)
-    dpre = 2.0 * (out - targets) * dout_dpre / n
+    z, hidden, out = net._layers(X)
+    dout_dpre = 1.0 if net.output_activation == "identity" else out * (1.0 - out)
+    dpre = 2.0 * (out - targets) * dout_dpre / X.shape[0]
     dv = hidden.T @ dpre
     dc = float(dpre.sum())
     dhidden = np.outer(dpre, net.output_weights)
@@ -151,40 +144,19 @@ def train_net(ds: LabeledDataset, config: NetTrainConfig) -> OneHiddenLayerNet:
     c = float(rng.uniform(-span, span))
     X = ds.features
     targets = _targets(ds.labels, config.output_activation)
-
-    def build(W, b, v, c):
-        return OneHiddenLayerNet(
-            W.copy(), b.copy(), v.copy(), float(c),
-            config.hidden_activation, config.output_activation,
-        )
-
-    best = build(W, b, v, c)
-    best_obj = net_objective(best, X, targets)
-    net = best
+    activations = (config.hidden_activation, config.output_activation)
+    net = OneHiddenLayerNet(W, b, v, c, *activations)
+    best, best_obj = net, net_objective(net, X, targets)
     for it in range(config.max_iters):
-        dW, db, dv, dc = net_gradient(net, X, targets)
-        W = net.hidden_weights - config.learning_rate * dW
-        b = net.hidden_biases - config.learning_rate * db
-        v = net.output_weights - config.learning_rate * dv
-        c = net.output_bias - config.learning_rate * dc
-        net = build(W, b, v, c)
+        params = (net.hidden_weights, net.hidden_biases, net.output_weights, net.output_bias)
+        grads = net_gradient(net, X, targets)
+        net = OneHiddenLayerNet(
+            *(p - config.learning_rate * g for p, g in zip(params, grads)), *activations
+        )
         obj = net_objective(net, X, targets)
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {it + 1}")
         if obj < best_obj:
             best, best_obj = net, obj
-    info = TrainInfo(
-        iterations=config.max_iters,
-        converged=False,
-        termination="max_iters",
-        objective=best_obj,
-    )
-    return OneHiddenLayerNet(
-        best.hidden_weights,
-        best.hidden_biases,
-        best.output_weights,
-        best.output_bias,
-        config.hidden_activation,
-        config.output_activation,
-        info,
-    )
+    info = TrainInfo(iterations=config.max_iters, termination="max_iters", objective=best_obj)
+    return replace(best, info=info)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import DecisionFunction, as_matrix, sign_labels
-from .data import LabeledDataset, child_seed
+from .base import DecisionFunction, as_matrix, point_or_batch
+from .data import LabeledDataset
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -115,21 +115,6 @@ def sample(problem: GaussianMixtureProblem, n: int, seed: int = 0) -> LabeledDat
     return LabeledDataset(feats, labels)
 
 
-def bayes_classify(problem: GaussianMixtureProblem, x) -> np.ndarray:
-    """Assign each point to the class with the larger weighted density.
-
-    Exact ties (and zero-prior degeneracies that leave both sides equal)
-    go to +1.  Returns a scalar for a single vector, else an array.
-    """
-    X = as_matrix(x, problem.dim)
-    margin = _log_joint_margin(problem, X)
-    # -inf vs -inf (both priors degenerate) counts as a tie -> +1
-    labels = np.where(np.nan_to_num(margin, nan=0.0) >= 0.0, 1, -1)
-    if np.ndim(x) == 1:
-        return int(labels[0])
-    return labels
-
-
 class BayesClassifier(DecisionFunction):
     """The optimal decision rule of a known problem, as a classifier object."""
 
@@ -139,7 +124,17 @@ class BayesClassifier(DecisionFunction):
     def decision_function(self, X):
         X = as_matrix(X, self.problem.dim)
         margin = _log_joint_margin(self.problem, X)
+        # -inf vs -inf (both priors degenerate) counts as a tie -> +1
         return np.nan_to_num(margin, nan=0.0)
+
+
+def bayes_classify(problem: GaussianMixtureProblem, x):
+    """Assign each point to the class with the larger weighted density.
+
+    Exact ties (and zero-prior degeneracies that leave both sides equal)
+    go to +1.  Returns a scalar for a single vector, else an array.
+    """
+    return point_or_batch(BayesClassifier(problem).predict, x, problem.dim)
 
 
 def _crossings_1d(problem):
@@ -170,35 +165,12 @@ def _closed_form_bayes_error_1d(problem):
     pp, pn = problem.prior_pos, problem.prior_neg
     if pp == 0.0 or pn == 0.0:
         return 0.0
-    mp, mn = problem.mean_pos[0], problem.mean_neg[0]
-    sp = np.sqrt(problem.cov_pos[0, 0])
-    sn = np.sqrt(problem.cov_neg[0, 0])
-    cuts = _crossings_1d(problem)
-    edges = [-np.inf] + cuts + [np.inf]
-
-    def weighted_logdiff(x):
-        arr = _log_joint_margin(problem, np.array([[x]]))
-        return float(arr[0])
-
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if np.isinf(lo) and np.isinf(hi):
-            probe = 0.5 * (mp + mn)
-        elif np.isinf(lo):
-            probe = hi - max(1.0, abs(hi))
-        elif np.isinf(hi):
-            probe = lo + max(1.0, abs(lo))
-        else:
-            probe = 0.5 * (lo + hi)
-        # the pointwise minimum on this interval is the losing class's mass
-        if weighted_logdiff(probe) >= 0.0:
-            mean, std, prior = mn, sn, pn
-        else:
-            mean, std, prior = mp, sp, pp
-        lo_t = -np.inf if np.isinf(lo) else (lo - mean) / std
-        hi_t = np.inf if np.isinf(hi) else (hi - mean) / std
-        total += prior * (ndtr(hi_t) - ndtr(lo_t))
-    return float(total)
+    # between consecutive crossings one weighted density lies below the
+    # other throughout, so the smaller weighted mass there is the error
+    edges = np.array([-np.inf, *_crossings_1d(problem), np.inf])
+    z_pos = (edges - problem.mean_pos[0]) / np.sqrt(problem.cov_pos[0, 0])
+    z_neg = (edges - problem.mean_neg[0]) / np.sqrt(problem.cov_neg[0, 0])
+    return float(np.minimum(pp * np.diff(ndtr(z_pos)), pn * np.diff(ndtr(z_neg))).sum())
 
 
 def bayes_error(

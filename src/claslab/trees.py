@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DecisionFunction, as_matrix, sign_labels
+from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 
 _EPS = 1e-12
@@ -87,14 +87,6 @@ class DecisionTree(DecisionFunction):
         return "\n".join(lines) + "\n"
 
 
-def _gini(w_pos, w_neg):
-    total = w_pos + w_neg
-    if total <= 0.0:
-        return 0.0
-    p = w_pos / total
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-
 def _majority(w_pos, w_neg):
     return 1 if w_pos >= w_neg else -1
 
@@ -143,7 +135,7 @@ def _grow(X, y, w, depth, max_depth, min_leaf_size):
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
     label = _majority(w_pos, w_neg)
-    node_gini = _gini(w_pos, w_neg)
+    node_gini = _gini_vec(w_pos, w_neg)
     if node_gini <= 0.0 or depth >= max_depth:
         return TreeNode(label=label)
     best = _best_split(X, y, w, min_leaf_size)
@@ -175,8 +167,7 @@ def fit_tree(
 
 
 def tree_classify(tree: DecisionTree, x):
-    pred = tree.predict(as_matrix(x, tree.dim))
-    return int(pred[0]) if np.ndim(x) == 1 else sign_labels(pred)
+    return point_or_batch(tree.predict, x, tree.dim)
 
 
 def tree_trace(tree: DecisionTree, x):

@@ -58,6 +58,13 @@ class TestCombine:
         scores = np.array([[1.0, -1.0], [1.0, -1.0], [-1.0, -1.0]])
         np.testing.assert_array_equal(combine(scores, "majority_vote"), [1, -1])
 
+    def test_unknown_combiner_rejected_by_combine_and_ensemble(self):
+        with pytest.raises(ValueError, match="unknown combiner"):
+            combine([1.0, -1.0], "median")
+        ensemble = Ensemble((fit_tree(FOUR, 1),), "median")
+        with pytest.raises(ValueError, match="unknown combiner"):
+            ensemble.predict(FOUR.features)
+
 
 class TestBagging:
     def test_single_round_equals_one_bootstrap_tree(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from claslab.data import LabeledDataset, bootstrap_sample, child_seed, make_folds
+from claslab.data import LabeledDataset, bootstrap_sample, child_seed, make_folds, split_holdout
 from claslab.evaluation import (
     ErrorEstimate,
     apparent_error,
@@ -101,6 +101,19 @@ class TestHoldout:
         a = holdout_error(fit_lda, ds, 0.3, seed=6)
         b = holdout_error(fit_lda, ds, 0.3, seed=6)
         assert a.value == b.value
+
+    def test_fit_error_names_the_held_out_rows(self):
+        # each row's only feature is its index, so the test side names its rows
+        ds = LabeledDataset(np.arange(10.0)[:, None], [1, -1] * 5)
+        _, test = split_holdout(ds, 0.3, seed=6)
+
+        def fails(d):
+            raise FitError("cannot fit")
+
+        expected = f"index {', '.join(str(int(i)) for i in test.features[:, 0])}"
+        with pytest.raises(EstimationError, match=expected) as info:
+            holdout_error(fails, ds, 0.3, seed=6)
+        assert isinstance(info.value.__cause__, FitError)
 
 
 class TestCrossValidation:

@@ -11,6 +11,8 @@ from claslab.base import sign_labels
 from claslab.oracle import (
     BayesClassifier,
     GaussianMixtureProblem,
+    _crossings_1d,
+    _log_joint_margin,
     bayes_classify,
     bayes_error,
     equal_cov_problem,
@@ -171,11 +173,74 @@ class TestBayesError:
         )
         assert bayes_error(prob, "closed_form_1d") == pytest.approx(expected, abs=1e-11)
 
+    @pytest.mark.parametrize("crossings", [0, 1, 2])
+    def test_closed_form_equals_the_probing_reference(self, crossings):
+        rng = np.random.default_rng(crossings)
+        checked = 0
+        while checked < 20:
+            prior = rng.uniform(0.01, 0.99)
+            mp, mn = rng.uniform(-3.0, 3.0, size=2)
+            vp, vn = rng.uniform(0.1, 4.0, size=2)
+            if crossings == 1:
+                vn = vp
+            prob = GaussianMixtureProblem(prior, [mp], [mn], [[vp]], [[vn]])
+            if len(_crossings_1d(prob)) != crossings:
+                continue
+            got = bayes_error(prob, "closed_form_1d")
+            assert abs(got - reference_bayes_error_1d(prob)) <= 1e-15
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            equal_cov_problem(0.0, [0.0], [1.0]),
+            equal_cov_problem(1.0, [0.0], [1.0]),
+            equal_cov_problem(0.5, [0.3], [0.3]),
+            equal_cov_problem(0.2, [0.3], [0.3], [[2.0]]),
+        ],
+        ids=["prior_0", "prior_1", "identical", "identical_unequal_priors"],
+    )
+    def test_degenerate_cases_equal_the_probing_reference(self, prob):
+        assert bayes_error(prob, "closed_form_1d") == reference_bayes_error_1d(prob)
+
     def test_monte_carlo_agrees_with_closed_form(self):
         n_mc = 200_000
         eps = bayes_error(SYMMETRIC, "closed_form_1d")
         mc = bayes_error(SYMMETRIC, "monte_carlo", n_mc=n_mc, seed=5)
         assert abs(mc - eps) < 3 * np.sqrt(eps * (1 - eps) / n_mc)
+
+
+def reference_bayes_error_1d(problem):
+    """The probing version: pick each interval's losing class at one point."""
+    pp, pn = problem.prior_pos, problem.prior_neg
+    if pp == 0.0 or pn == 0.0:
+        return 0.0
+    mp, mn = problem.mean_pos[0], problem.mean_neg[0]
+    sp = np.sqrt(problem.cov_pos[0, 0])
+    sn = np.sqrt(problem.cov_neg[0, 0])
+    edges = [-np.inf] + _crossings_1d(problem) + [np.inf]
+
+    def weighted_logdiff(x):
+        return float(_log_joint_margin(problem, np.array([[x]]))[0])
+
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if np.isinf(lo) and np.isinf(hi):
+            probe = 0.5 * (mp + mn)
+        elif np.isinf(lo):
+            probe = hi - max(1.0, abs(hi))
+        elif np.isinf(hi):
+            probe = lo + max(1.0, abs(lo))
+        else:
+            probe = 0.5 * (lo + hi)
+        if weighted_logdiff(probe) >= 0.0:
+            mean, std, prior = mn, sn, pn
+        else:
+            mean, std, prior = mp, sp, pp
+        lo_t = -np.inf if np.isinf(lo) else (lo - mean) / std
+        hi_t = np.inf if np.isinf(hi) else (hi - mean) / std
+        total += prior * (ndtr(hi_t) - ndtr(lo_t))
+    return float(total)
 
 
 class TestTrueError:
