@@ -8,6 +8,8 @@ package (loss kinks, vote ties, leaf-label ties, threshold hits).
 
 import numpy as np
 
+_BLOCK = 4096  # query rows scored per decision_function call in predict
+
 
 def sign_labels(scores) -> np.ndarray:
     """Map real scores to labels in {-1, +1}; zero goes to +1."""
@@ -21,7 +23,10 @@ class DecisionFunction:
         raise NotImplementedError
 
     def predict(self, X) -> np.ndarray:
-        return sign_labels(self.decision_function(X))
+        """Labels scored ``_BLOCK`` rows at a time, so memory does not grow with the batch."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        blocks = (X[lo : lo + _BLOCK] for lo in range(0, max(len(X), 1), _BLOCK))  # 0 rows: 1 call
+        return np.concatenate([sign_labels(self.decision_function(b)) for b in blocks])
 
 
 def as_matrix(X, dim: int) -> np.ndarray:

@@ -340,8 +340,7 @@ def cmd_bench(cfg) -> int:
     rows = []
     for name, trainer in trainers:
         est = estimate(trainer, ds)
-        std = est.std if est.std is not None else evaluation.error_std(est.value, ds.n)
-        rows.append((name, est.method, ds.n, est.value, std))
+        rows.append((name, est.method, ds.n, est.value, est.std))
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("trainer,method,n,value,std\n")
         for name, method, n, value, std in rows:

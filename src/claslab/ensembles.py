@@ -17,7 +17,11 @@ from .base import DecisionFunction, as_matrix, point_or_batch, sign_labels
 from .data import LabeledDataset, bootstrap_sample, child_seed
 from .trees import DecisionTree, fit_tree
 
-COMBINERS = ("majority_vote", "mean_score")
+# combiner -> fusion of member outputs (axis 0) into a vote sum or a mean score
+COMBINERS = {
+    "majority_vote": lambda scores: sign_labels(scores).sum(axis=0).astype(float),
+    "mean_score": lambda scores: scores.mean(axis=0),
+}
 
 _EPS_BOOST = 1e-10
 _ALPHA_CAP = 0.5 * np.log((1.0 - _EPS_BOOST) / _EPS_BOOST)
@@ -29,13 +33,9 @@ class TreeConfig:
     min_leaf_size: int = 1
 
 
-def _fuse(scores, combiner: str):
-    """Vote sum or mean score over the members (axis 0)."""
-    if combiner == "majority_vote":
-        return sign_labels(scores).sum(axis=0).astype(float)
-    if combiner == "mean_score":
-        return scores.mean(axis=0)
-    raise ValueError(f"unknown combiner {combiner!r}")
+def _check_combiner(combiner: str) -> None:
+    if combiner not in COMBINERS:
+        raise ValueError(f"unknown combiner {combiner!r}")
 
 
 def combine(scores, combiner: str):
@@ -44,10 +44,11 @@ def combine(scores, combiner: str):
     ``scores`` is (members,) for one query or (members, queries); the
     result is a scalar label or a label per query.
     """
+    _check_combiner(combiner)
     arr = np.asarray(scores, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one member output")
-    labels = sign_labels(_fuse(arr, combiner))
+    labels = sign_labels(COMBINERS[combiner](arr))
     return int(labels) if arr.ndim == 1 else labels
 
 
@@ -65,6 +66,9 @@ class Ensemble(DecisionFunction):
     combiner: str = "majority_vote"
     member_feature_masks: tuple | None = None
 
+    def __post_init__(self):
+        _check_combiner(self.combiner)
+
     def _member_scores(self, X):
         rows = []
         for i, member in enumerate(self.members):
@@ -76,7 +80,7 @@ class Ensemble(DecisionFunction):
 
     def decision_function(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return _fuse(self._member_scores(X), self.combiner)
+        return COMBINERS[self.combiner](self._member_scores(X))
 
 
 def bagging(

@@ -27,7 +27,7 @@ from . import features as _features
 class ErrorEstimate:
     value: float
     method: str
-    std: float | None = None
+    std: float
     components: dict | None = None
 
 

@@ -10,9 +10,6 @@ from scipy.spatial.distance import cdist
 from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 
-_CHUNK = 1024  # query rows per distance block
-
-
 @dataclass(frozen=True)
 class KnnClassifier(DecisionFunction):
     """Vote of the k nearest stored points.
@@ -31,28 +28,23 @@ class KnnClassifier(DecisionFunction):
 
     def decision_function(self, X):
         X = as_matrix(X, self.dim)
-        votes = np.empty(X.shape[0])
         stored = self.dataset.features
         labels = self.dataset.labels
         k, n = self.k, stored.shape[0]
-        for lo in range(0, X.shape[0], _CHUNK):
-            block = X[lo : lo + _CHUNK]
-            # squared distances order identically to Euclidean ones
-            dist = cdist(block, stored, "sqeuclidean")
-            if k == n:
-                votes[lo : lo + block.shape[0]] = labels.mean()
-                continue
-            part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-            rows = np.arange(block.shape[0])[:, None]
-            kth = dist[rows, part].max(axis=1)
-            # rows with several points exactly at the k-th distance need the
-            # stable order to honor the lower-index tie rule
-            tied = (dist <= kth[:, None]).sum(axis=1) > k
-            mean_votes = labels[part].mean(axis=1)
-            for r in np.flatnonzero(tied):
-                order = np.argsort(dist[r], kind="stable")[:k]
-                mean_votes[r] = labels[order].mean()
-            votes[lo : lo + block.shape[0]] = mean_votes
+        if k == n:
+            return np.full(X.shape[0], labels.mean())
+        # squared distances order identically to Euclidean ones
+        dist = cdist(X, stored, "sqeuclidean")
+        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        rows = np.arange(X.shape[0])[:, None]
+        kth = dist[rows, part].max(axis=1)
+        # rows with several points exactly at the k-th distance need the
+        # stable order to honor the lower-index tie rule
+        tied = (dist <= kth[:, None]).sum(axis=1) > k
+        votes = labels[part].mean(axis=1)
+        for r in np.flatnonzero(tied):
+            order = np.argsort(dist[r], kind="stable")[:k]
+            votes[r] = labels[order].mean()
         return votes
 
 

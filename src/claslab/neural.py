@@ -109,28 +109,30 @@ def _targets(labels, output_activation):
     return labels.astype(float)
 
 
+def _objective_and_gradient(net: OneHiddenLayerNet, X, targets):
+    """Mean squared loss and its exact gradient (dW, db, dv, dc) from one forward pass."""
+    X = as_matrix(X, net.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan is the divergence signal
+        z, hidden, out = net._layers(X)
+        obj = float(np.mean((out - targets) ** 2))
+        dout_dpre = 1.0 if net.output_activation == "identity" else out * (1.0 - out)
+        dpre = 2.0 * (out - targets) * dout_dpre / X.shape[0]
+        dv = hidden.T @ dpre
+        dc = float(dpre.sum())
+        dhidden = np.outer(dpre, net.output_weights)
+        dz = dhidden * _act_deriv(net.hidden_activation, z, hidden)
+        dW = dz.T @ X
+        db = dz.sum(axis=0)
+    return obj, (dW, db, dv, dc)
+
+
 def net_objective(net: OneHiddenLayerNet, X, targets) -> float:
-    out = net.forward(X)
-    with np.errstate(over="ignore"):  # inf here is the divergence signal
-        return float(np.mean((out - targets) ** 2))
+    return _objective_and_gradient(net, X, targets)[0]
 
 
 def net_gradient(net: OneHiddenLayerNet, X, targets):
-    """Exact mean-squared-loss gradient for every parameter.
-
-    Returns (dW, db, dv, dc) matching the shapes of the net's fields.
-    """
-    X = as_matrix(X, net.dim)
-    z, hidden, out = net._layers(X)
-    dout_dpre = 1.0 if net.output_activation == "identity" else out * (1.0 - out)
-    dpre = 2.0 * (out - targets) * dout_dpre / X.shape[0]
-    dv = hidden.T @ dpre
-    dc = float(dpre.sum())
-    dhidden = np.outer(dpre, net.output_weights)
-    dz = dhidden * _act_deriv(net.hidden_activation, z, hidden)
-    dW = dz.T @ X
-    db = dz.sum(axis=0)
-    return dW, db, dv, dc
+    """Exact mean-squared-loss gradient (dW, db, dv, dc), shaped like the net's fields."""
+    return _objective_and_gradient(net, X, targets)[1]
 
 
 def train_net(ds: LabeledDataset, config: NetTrainConfig) -> OneHiddenLayerNet:
@@ -146,14 +148,14 @@ def train_net(ds: LabeledDataset, config: NetTrainConfig) -> OneHiddenLayerNet:
     targets = _targets(ds.labels, config.output_activation)
     activations = (config.hidden_activation, config.output_activation)
     net = OneHiddenLayerNet(W, b, v, c, *activations)
-    best, best_obj = net, net_objective(net, X, targets)
+    obj, grads = _objective_and_gradient(net, X, targets)
+    best, best_obj = net, obj
     for it in range(config.max_iters):
         params = (net.hidden_weights, net.hidden_biases, net.output_weights, net.output_bias)
-        grads = net_gradient(net, X, targets)
         net = OneHiddenLayerNet(
             *(p - config.learning_rate * g for p, g in zip(params, grads)), *activations
         )
-        obj = net_objective(net, X, targets)
+        obj, grads = _objective_and_gradient(net, X, targets)
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {it + 1}")
         if obj < best_obj:

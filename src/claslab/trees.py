@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DecisionFunction, as_matrix, point_or_batch
+from .base import DecisionFunction, as_matrix, point_or_batch, sign_labels
 from .data import LabeledDataset
 
 _EPS = 1e-12
@@ -87,10 +87,6 @@ class DecisionTree(DecisionFunction):
         return "\n".join(lines) + "\n"
 
 
-def _majority(w_pos, w_neg):
-    return 1 if w_pos >= w_neg else -1
-
-
 def _gini_vec(w_pos, w_neg):
     total = w_pos + w_neg
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -134,7 +130,7 @@ def _best_split(X, y, w, min_leaf_size):
 def _grow(X, y, w, depth, max_depth, min_leaf_size):
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
-    label = _majority(w_pos, w_neg)
+    label = int(sign_labels(w_pos - w_neg))
     node_gini = _gini_vec(w_pos, w_neg)
     if node_gini <= 0.0 or depth >= max_depth:
         return TreeNode(label=label)

@@ -1,10 +1,16 @@
-"""The point-or-batch rule shared by every per-model helper."""
+"""The point-or-batch rule shared by every per-model helper, and the
+blocked scoring that every model's ``predict`` inherits."""
+
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 import claslab as cl
+from claslab.base import _BLOCK, sign_labels
+from claslab.serialize import load_model
 
 PROBLEM = cl.equal_cov_problem(0.5, [1.0, 0.4], [-1.0, -0.4])
 DS = cl.sample(PROBLEM, 40, seed=1)
@@ -54,3 +60,52 @@ def test_point_or_batch(name):
     assert single == pytest.approx(batch[0], rel=1e-14, abs=1e-14)
     with pytest.raises(ValueError, match="expected 2-dimensional inputs"):
         helper(owner, [0.0, 1.0, 2.0])
+
+
+FIXTURES = Path(__file__).parent / "fixtures" / "models"
+BLOCK_MODELS = {
+    **{p.stem: p for p in sorted(FIXTURES.glob("*.json")) if p.stem != "decision_values"},
+    "bayes": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_predict_agrees_with_one_decision_function_call(name, rows):
+    path = BLOCK_MODELS[name]
+    model = cl.BayesClassifier(PROBLEM) if path is None else load_model(path)
+    X = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 2))
+    labels = model.predict(X)
+    scores = np.asarray(model.decision_function(X), dtype=float)
+    assert labels.shape == (rows,)
+    # a row's score may differ in the last bits with the size of its batch,
+    # so only rows away from a tie must agree
+    clear = np.abs(scores) > 1e-9
+    np.testing.assert_array_equal(labels[clear], sign_labels(scores)[clear])
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda ds: cl.fit_parzen(ds, 0.7),
+        lambda ds: cl.train_kernel_machine(ds, cl.Kernel("rbf", sigma=1.5), 0.5),
+    ],
+    ids=["parzen", "kernel_ridge"],
+)
+def test_true_error_memory_does_not_grow_with_the_score_matrix(fit):
+    model = fit(cl.sample(PROBLEM, 300, seed=3))
+    n = _BLOCK + 904  # every run scores at least one full block
+    small = _peak_bytes(lambda: cl.true_error(model, PROBLEM, n, seed=4))
+    large = _peak_bytes(lambda: cl.true_error(model, PROBLEM, 4 * n, seed=4))
+    # the larger sample's own (n_mc, d) arrays, not n_mc x n_train scores
+    sample_array = 4 * n * PROBLEM.dim * 8
+    assert large - small <= 4 * sample_array

@@ -61,9 +61,12 @@ class TestCombine:
     def test_unknown_combiner_rejected_by_combine_and_ensemble(self):
         with pytest.raises(ValueError, match="unknown combiner"):
             combine([1.0, -1.0], "median")
-        ensemble = Ensemble((fit_tree(FOUR, 1),), "median")
         with pytest.raises(ValueError, match="unknown combiner"):
-            ensemble.predict(FOUR.features)
+            Ensemble((fit_tree(FOUR, 1),), "median").predict(FOUR.features)
+
+    def test_unknown_combiner_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown combiner"):
+            Ensemble((fit_tree(FOUR, 1),), "nope")
 
 
 class TestBagging:

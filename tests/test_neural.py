@@ -197,6 +197,18 @@ class TestTrainNet:
             net_objective(trained, ds.features, targets), rel=1e-12
         )
 
+    def test_one_forward_pass_per_iteration(self, monkeypatch):
+        calls = []
+        layers = OneHiddenLayerNet._layers
+
+        def counting(net, X):
+            calls.append(X.shape)
+            return layers(net, X)
+
+        monkeypatch.setattr(OneHiddenLayerNet, "_layers", counting)
+        train_net(XOR, NetTrainConfig(hidden_units=2, max_iters=10, seed=1))
+        assert calls == [(4, 2)] * 11
+
     def test_divergence_raises_with_iteration_number(self):
         ds = sample(equal_cov_problem(0.5, [2.0], [-2.0]), 20, seed=6)
         cfg = NetTrainConfig(hidden_units=4, learning_rate=1e12, max_iters=200, seed=0)
