@@ -91,7 +91,7 @@ def bagging(
         raise ValueError("m_rounds must be at least 1")
     members = []
     for r in range(m_rounds):
-        bs = bootstrap_sample(ds, seed + r)
+        bs = bootstrap_sample(ds, child_seed(seed, r))
         members.append(
             fit_tree(ds.subset(bs.indices), base.max_depth, base.min_leaf_size)
         )

@@ -72,9 +72,23 @@ class TestCombine:
 class TestBagging:
     def test_single_round_equals_one_bootstrap_tree(self):
         ens = bagging(FOUR, TreeConfig(2, 1), 1, seed=5)
-        manual = fit_tree(FOUR.subset(bootstrap_sample(FOUR, 5).indices), 2, 1)
+        manual = fit_tree(FOUR.subset(bootstrap_sample(FOUR, child_seed(5, 0)).indices), 2, 1)
         grid = np.linspace(-1, 4, 21)[:, None]
         np.testing.assert_array_equal(ens.predict(grid), manual.predict(grid))
+
+    def test_neighbouring_seeds_draw_disjoint_replicates(self, monkeypatch):
+        drawn = []
+
+        def recording(ds, seed):
+            drawn.append(seed)
+            return bootstrap_sample(ds, seed)
+
+        monkeypatch.setattr("claslab.ensembles.bootstrap_sample", recording)
+        bagging(FOUR, TreeConfig(2, 1), 5, seed=0)
+        first = set(drawn)
+        drawn.clear()
+        bagging(FOUR, TreeConfig(2, 1), 5, seed=1)
+        assert len(first) == 5 and first.isdisjoint(drawn)
 
     def test_unanimous_members(self):
         pure = LabeledDataset([[0.0], [1.0], [2.0]], [1, 1, 1])
