@@ -382,6 +382,17 @@ GOLDEN_CASES = {
         "trainer": {"name": "net", "params": {"hidden_units": 2, "max_iters": 30,
                                               "output_activation": "logistic_sigmoid"}},
     }),
+    # captured from the kernel ridge fit that refitted on every complement
+    "bench_loo.csv": ("bench", {
+        "problem": "@problem", "n": 60, "seed": 34, "trainers": [
+            {"name": "kernel_ridge", "params": {"kernel": "rbf", "sigma": 1.5, "lambda": 0.5}},
+            {"name": "kernel_ridge",
+             "params": {"kernel": "poly2_inhomogeneous", "lambda": 0.01}},
+            {"name": "least_squares"},
+            {"name": "knn", "params": {"k": 3}},
+        ],
+        "estimator": {"method": "loo"},
+    }),
 }
 
 
