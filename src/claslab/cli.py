@@ -28,7 +28,7 @@ from .ensembles import TreeConfig, adaboost, bagging, random_subspace
 from .exceptions import DivergenceError, EstimationError, FitError, NumericError
 from .features import make_pipeline_trainer, parse_transform_spec, split_transform_spec
 from .generative import fit_lda, fit_parzen
-from .kernels import Kernel, train_kernel_machine
+from .kernels import Kernel, KernelRidge
 from .linear import TrainConfig, train_least_squares, train_linear, train_logistic
 from .neighbors import fit_knn
 from .neural import NetTrainConfig, train_net
@@ -102,8 +102,7 @@ def _linear(p, seed, problem):
 
 
 def _kernel_ridge(p, seed, problem):
-    kernel = Kernel(p["kernel"], p["c"], p["sigma"])
-    return lambda ds: train_kernel_machine(ds, kernel, p["lam"])
+    return KernelRidge(Kernel(p["kernel"], p["c"], p["sigma"]), p["lam"])
 
 
 def _net(p, seed, problem):
@@ -122,9 +121,11 @@ _GD = {"lambda": (float, 0.0), "max_iters": (int, 1000), "step_size": (float, 1.
        "tolerance": (float, 1e-6)}
 _TREES = {"max_depth": (int, 3), "min_leaf_size": (int, 1), "m_rounds": (int, REQUIRED)}
 
-# name -> (schema, builder(params, seed, problem) -> trainer).  Trainers call
-# the fit functions through this module's names when they run, so a tool
-# that rebinds those names (a tracer) sees every fit.
+# name -> (schema, builder(params, seed, problem) -> trainer).  A trainer is
+# any callable from a dataset to a model: a closure, or an object such as
+# kernels.KernelRidge that may also offer loo_scores(ds).  Trainers call the
+# fit functions through module-level names when they run, so a tool that
+# rebinds those names (a tracer) sees every fit.
 TRAINERS = {
     "lda": (
         {"laplace_priors": (bool, False), "unbiased_cov": (bool, False),

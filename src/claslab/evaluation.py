@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import sign_labels
 from .data import (
     FoldAssignment, LabeledDataset, _holdout_rows, bootstrap_sample, child_seed, make_folds,
 )
@@ -115,10 +116,15 @@ def loo_cv(trainer, ds: LabeledDataset) -> ErrorEstimate:
 
     Needs N >= 3 so every training complement keeps at least two
     points; a trainer that cannot fit some complement (e.g. it lost a
-    whole class) aborts the estimate, naming the left-out index.
+    whole class) aborts the estimate, naming the left-out index.  A
+    trainer with ``loo_scores(ds)`` gives every row's left-out score in
+    closed form, and nothing is refitted.
     """
     if ds.n < 3:
         raise EstimationError("leave-one-out needs N >= 3 so complements stay trainable")
+    if hasattr(trainer, "loo_scores"):
+        value = int(np.sum(sign_labels(trainer.loo_scores(ds)) != ds.labels)) / ds.n
+        return ErrorEstimate(value, "loo", error_std(value, ds.n))
     return _cross_validate(trainer, ds, FoldAssignment(np.arange(ds.n), ds.n), "loo")
 
 

@@ -16,8 +16,7 @@ from scipy.special import logsumexp
 from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
-
-LOG_2PI = float(np.log(2.0 * np.pi))
+from .oracle import LOG_2PI
 
 
 @dataclass(frozen=True)

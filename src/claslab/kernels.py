@@ -2,13 +2,15 @@
 
 The kernel machine realizes the representer form
 score(x) = sum_i a_i k(x_i, x) + a0 and is trained with squared loss
-only (kernel ridge), so the solver stays a single symmetric solve:
+only (kernel ridge), so the fit is one solve of the bordered (LS-SVM)
+system
 
-    a  = (H K H + lambda I)^-1 (y - ybar),   H = I - 11^T/N
-    a0 = ybar - (1/N) a^T K 1
+    C [a; a0] = [y; 0],   C = [[K + lambda I, 1], [1^T, 0]]
 
-Centering plays the role of the unpenalized bias; for the linear kernel
-this reproduces the primal ridge classifier exactly.
+whose last row, sum_i a_i = 0, makes a0 the unpenalized bias; for the
+linear kernel this reproduces the primal ridge classifier exactly.
+Leave-one-out scores are read from the inverse of the same C, with no
+refit: f_-i(x_i) = y_i - a_i / (C^-1)_ii (Cawley & Talbot 2004).
 
 The dissimilarity representation swaps inner products for an arbitrary
 nonnegative measure against a prototype set: an object becomes the
@@ -97,25 +99,60 @@ class KernelMachine(DecisionFunction):
         return self.kernel.matrix(X, self.support_points) @ self.coefficients + self.bias
 
 
+def _bordered(K: np.ndarray, lam: float) -> np.ndarray:
+    """The kernel ridge system C = [[K + lam I, 1], [1^T, 0]]."""
+    n = K.shape[0]
+    C = np.ones((n + 1, n + 1))
+    C[:n, :n] = K
+    C[np.arange(n), np.arange(n)] += lam
+    C[n, n] = 0.0
+    return C
+
+
+def _finite(values, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"kernel ridge {what} are not finite")
+    return values
+
+
 def train_kernel_machine(
     ds: LabeledDataset, kernel: Kernel, lam: float
 ) -> KernelMachine:
-    """Kernel ridge fit (squared loss, centered bias); needs lam > 0."""
+    """Kernel ridge fit (squared loss, unpenalized bias); needs lam > 0."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    K = gram_matrix(kernel, ds)
-    n = ds.n
-    y = ds.labels.astype(float)
-    ybar = float(y.mean())
-    H = np.eye(n) - np.full((n, n), 1.0 / n)
+    C = _bordered(gram_matrix(kernel, ds), lam)
     try:
-        coef = np.linalg.solve(H @ K @ H + lam * np.eye(n), y - ybar)
+        solution = np.linalg.solve(C, np.append(ds.labels.astype(float), 0.0))
     except np.linalg.LinAlgError:
         raise NumericError("kernel ridge system could not be solved") from None
-    if not np.all(np.isfinite(coef)):
-        raise NumericError("kernel ridge solve produced non-finite coefficients")
-    bias = ybar - float(coef @ K.mean(axis=1))
-    return KernelMachine(coef, bias, ds.features, kernel)
+    _finite(solution, "coefficients")
+    return KernelMachine(solution[:-1], float(solution[-1]), ds.features, kernel)
+
+
+@dataclass(frozen=True)
+class KernelRidge:
+    """Kernel ridge as a trainer: ``KernelRidge(kernel, lam)(ds)`` fits a machine."""
+
+    kernel: Kernel
+    lam: float
+
+    def __post_init__(self):
+        if self.lam <= 0:
+            raise ValueError("lambda must be positive")
+
+    def __call__(self, ds: LabeledDataset) -> KernelMachine:
+        return train_kernel_machine(ds, self.kernel, self.lam)
+
+    def loo_scores(self, ds: LabeledDataset) -> np.ndarray:
+        """Score of each row under the fit to all the other rows, without refitting."""
+        try:
+            C_inv = np.linalg.inv(_bordered(gram_matrix(self.kernel, ds), self.lam))
+        except np.linalg.LinAlgError:
+            raise NumericError("kernel ridge system could not be inverted") from None
+        y = ds.labels.astype(float)
+        coef = C_inv[:-1, :-1] @ y
+        return _finite(y - coef / np.diag(C_inv)[:-1], "leave-one-out scores")
 
 
 def km_decision(km: KernelMachine, x):

@@ -173,9 +173,11 @@ class TestEval:
     @pytest.mark.parametrize("trainer", [
         {"name": "parzen", "params": {"bandwidth": 0.0}},
         {"name": "linear", "params": {"loss": "nope"}},
+        {"name": "kernel_ridge", "params": {"lambda": 0.0}},
     ])
     def test_bad_parameter_exits_2_under_every_resampling(self, workdir, capsys, method, trainer):
-        # the trainer only rejects these values when it fits, inside the resampling loop
+        # parzen and linear reject these values only when they fit, inside the
+        # resampling loop; kernel ridge rejects its lambda when it is built
         cfg = {
             "problem": str(workdir / "problem.json"),
             "n": 20,

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from claslab.data import LabeledDataset
+from claslab.evaluation import loo_cv
+from claslab.exceptions import NumericError
 from claslab.features import poly2_block
 from claslab.kernels import (
     DissimilarityMap,
     Kernel,
+    KernelRidge,
     dissim_embed,
     gram_matrix,
     kernel_eval,
@@ -17,7 +20,7 @@ from claslab.kernels import (
     train_kernel_machine,
 )
 from claslab.linear import train_least_squares
-from claslab.oracle import equal_cov_problem, sample
+from claslab.oracle import GaussianMixtureProblem, equal_cov_problem, sample
 
 ALL_KERNELS = [
     Kernel("linear"),
@@ -94,17 +97,22 @@ class TestGramMatrix:
 
 
 class TestKernelMachine:
-    def test_linear_kernel_matches_primal_ridge(self):
-        ds = sample(equal_cov_problem(0.5, [1.0, 0.3], [-1.0, -0.3]), 60, seed=3)
-        km = train_kernel_machine(ds, Kernel("linear"), 0.1)
-        primal = train_least_squares(ds, 0.1)
-        queries = np.vstack([ds.features, sample(
-            equal_cov_problem(0.5, [1.0, 0.3], [-1.0, -0.3]), 20, seed=4
-        ).features])
+    @pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("kind, features", [
+        ("linear", lambda X: X),
+        ("poly2_homogeneous", poly2_block),
+    ], ids=["linear", "poly2_homogeneous"])
+    def test_kernel_matches_primal_ridge(self, kind, features, lam):
+        # the primal ridge fit on the kernel's explicit features is the same rule
+        problem = equal_cov_problem(0.5, [1.0, 0.3], [-1.0, -0.3])
+        ds = sample(problem, 60, seed=3)
+        km = train_kernel_machine(ds, Kernel(kind), lam)
+        primal = train_least_squares(LabeledDataset(features(ds.features), ds.labels), lam)
+        queries = np.vstack([ds.features, sample(problem, 20, seed=4).features])
         np.testing.assert_allclose(
             km.decision_function(queries),
-            primal.decision_function(queries),
-            atol=1e-6,
+            primal.decision_function(features(queries)),
+            atol=1e-8,
         )
 
     def test_tiny_rbf_interpolates(self):
@@ -143,6 +151,66 @@ class TestKernelMachine:
         ds = LabeledDataset([[0.0], [1.0]], [1, -1])
         with pytest.raises(ValueError):
             train_kernel_machine(ds, Kernel("linear"), 0.0)
+
+    def test_kernel_ridge_rejects_lambda_when_built(self):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            KernelRidge(Kernel("rbf"), 0.0)
+
+    def test_non_finite_kernel_raises_numeric_error(self):
+        ds = LabeledDataset([[0.0], [1.0], [2.0]], [1, -1, 1])
+        trainer = KernelRidge(Kernel("rbf", sigma=float("nan")), 1.0)
+        with pytest.raises(NumericError):
+            trainer(ds)
+        with pytest.raises(NumericError):
+            trainer.loo_scores(ds)
+
+
+def brute_force_loo_scores(ds, kernel, lam):
+    """Each row scored by a kernel ridge fit to all the other rows."""
+    scores = []
+    for i in range(ds.n):
+        km = train_kernel_machine(ds.subset(np.delete(np.arange(ds.n), i)), kernel, lam)
+        scores.append(km.decision_function(ds.features[i:i + 1])[0])
+    return np.array(scores)
+
+
+class TestLeaveOneOutShortcut:
+    SIZES = [(5, 1), (8, 3), (13, 2), (21, 5), (34, 4), (60, 5)]  # (n, d)
+
+    def test_matches_refits_on_every_complement(self):
+        rng = np.random.default_rng(40)
+        worst, ties = 0.0, 0
+        for n, d in self.SIZES:
+            ds = LabeledDataset(rng.normal(size=(n, d)), rng.choice([-1, 1], size=n))
+            for kernel in ALL_KERNELS:
+                for lam in (1e-3, 0.1, 1.0, 10.0):
+                    shortcut = KernelRidge(kernel, lam).loo_scores(ds)
+                    brute = brute_force_loo_scores(ds, kernel, lam)
+                    worst = max(worst, np.max(np.abs(shortcut - brute) / (1 + np.abs(brute))))
+                    decided = np.abs(brute) > 1e-9
+                    ties += int(np.sum(~decided))
+                    np.testing.assert_array_equal(
+                        np.sign(shortcut[decided]), np.sign(brute[decided])
+                    )
+        print(f"largest relative gap {worst:.2e}, ties {ties}")
+        assert worst < 1e-9
+        assert ties == 0
+
+    def test_loo_cv_equals_refitting_without_a_fit(self, monkeypatch):
+        # a p5u-like problem: 5-d, unequal covariances
+        problem = GaussianMixtureProblem(
+            0.5, np.full(5, 0.36), np.full(5, -0.36),
+            np.diag([0.4, 0.6, 1.0, 1.6, 2.5]), np.eye(5),
+        )
+        ds = sample(problem, 120, seed=41)
+        kernel = Kernel("rbf", sigma=1.5)
+        expected = loo_cv(lambda d: train_kernel_machine(d, kernel, 0.5), ds)
+        fits = []
+        monkeypatch.setattr(
+            "claslab.kernels.train_kernel_machine", lambda *a: fits.append(a)
+        )
+        assert loo_cv(KernelRidge(kernel, 0.5), ds) == expected
+        assert fits == []
 
 
 class TestDissimilarity:
