@@ -109,12 +109,6 @@ def _bordered(K: np.ndarray, lam: float) -> np.ndarray:
     return C
 
 
-def _finite(values, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NumericError(f"kernel ridge {what} are not finite")
-    return values
-
-
 def train_kernel_machine(
     ds: LabeledDataset, kernel: Kernel, lam: float
 ) -> KernelMachine:
@@ -126,7 +120,8 @@ def train_kernel_machine(
         solution = np.linalg.solve(C, np.append(ds.labels.astype(float), 0.0))
     except np.linalg.LinAlgError:
         raise NumericError("kernel ridge system could not be solved") from None
-    _finite(solution, "coefficients")
+    if not np.all(np.isfinite(solution)):
+        raise NumericError("kernel ridge solve produced non-finite coefficients")
     return KernelMachine(solution[:-1], float(solution[-1]), ds.features, kernel)
 
 
@@ -151,8 +146,10 @@ class KernelRidge:
         except np.linalg.LinAlgError:
             raise NumericError("kernel ridge system could not be inverted") from None
         y = ds.labels.astype(float)
-        coef = C_inv[:-1, :-1] @ y
-        return _finite(y - coef / np.diag(C_inv)[:-1], "leave-one-out scores")
+        scores = y - (C_inv[:-1, :-1] @ y) / np.diag(C_inv)[:-1]
+        if not np.all(np.isfinite(scores)):
+            raise NumericError("kernel ridge leave-one-out scores are not finite")
+        return scores
 
 
 def km_decision(km: KernelMachine, x):

@@ -151,10 +151,8 @@ class TestKernelMachine:
         ds = LabeledDataset([[0.0], [1.0]], [1, -1])
         with pytest.raises(ValueError):
             train_kernel_machine(ds, Kernel("linear"), 0.0)
-
-    def test_kernel_ridge_rejects_lambda_when_built(self):
         with pytest.raises(ValueError, match="lambda must be positive"):
-            KernelRidge(Kernel("rbf"), 0.0)
+            KernelRidge(Kernel("linear"), 0.0)  # the trainer rejects it before any fit
 
     def test_non_finite_kernel_raises_numeric_error(self):
         ds = LabeledDataset([[0.0], [1.0], [2.0]], [1, -1, 1])
