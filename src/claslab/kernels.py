@@ -99,11 +99,11 @@ class KernelMachine(DecisionFunction):
         return self.kernel.matrix(X, self.support_points) @ self.coefficients + self.bias
 
 
-def _bordered(K: np.ndarray, lam: float) -> np.ndarray:
-    """The kernel ridge system C = [[K + lam I, 1], [1^T, 0]]."""
-    n = K.shape[0]
+def _bordered(kernel: Kernel, ds: LabeledDataset, lam: float) -> np.ndarray:
+    """The kernel ridge system of ``ds``: C = [[K + lam I, 1], [1^T, 0]]."""
+    n = ds.n
     C = np.ones((n + 1, n + 1))
-    C[:n, :n] = K
+    C[:n, :n] = gram_matrix(kernel, ds)
     C[np.arange(n), np.arange(n)] += lam
     C[n, n] = 0.0
     return C
@@ -115,7 +115,7 @@ def train_kernel_machine(
     """Kernel ridge fit (squared loss, unpenalized bias); needs lam > 0."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    C = _bordered(gram_matrix(kernel, ds), lam)
+    C = _bordered(kernel, ds, lam)
     try:
         solution = np.linalg.solve(C, np.append(ds.labels.astype(float), 0.0))
     except np.linalg.LinAlgError:
@@ -142,7 +142,7 @@ class KernelRidge:
     def loo_scores(self, ds: LabeledDataset) -> np.ndarray:
         """Score of each row under the fit to all the other rows, without refitting."""
         try:
-            C_inv = np.linalg.inv(_bordered(gram_matrix(self.kernel, ds), self.lam))
+            C_inv = np.linalg.inv(_bordered(self.kernel, ds, self.lam))
         except np.linalg.LinAlgError:
             raise NumericError("kernel ridge system could not be inverted") from None
         y = ds.labels.astype(float)
