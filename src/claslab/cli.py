@@ -26,7 +26,7 @@ from . import evaluation
 from .data import child_seed, load_csv, save_csv
 from .ensembles import TreeConfig, adaboost, bagging, random_subspace
 from .exceptions import DivergenceError, EstimationError, FitError, NumericError
-from .features import make_pipeline_trainer, parse_transform_spec, split_transform_spec
+from .features import make_pipeline_trainer, split_transform_spec
 from .generative import fit_lda, fit_parzen
 from .kernels import Kernel, KernelRidge
 from .linear import TrainConfig, train_least_squares, train_linear, train_logistic
@@ -221,7 +221,7 @@ def _load_config(args):
 
 
 def _prepare(cfg, need_data: bool = True):
-    """Resolve source and transform chain; returns (problem, ds, pointwise spec)."""
+    """Resolve source and transform chain; returns (problem, ds, pointwise steps)."""
     if ("problem" in cfg) == ("dataset" in cfg):
         raise ValueError("config needs exactly one of 'problem' or 'dataset'")
     problem = ds = None
@@ -231,13 +231,12 @@ def _prepare(cfg, need_data: bool = True):
             ds = sample(problem, _get(cfg, "n", int), child_seed(cfg["seed"], _DATA))
     else:
         ds = load_csv(_get(cfg, "dataset", str))
-    noise_spec, pointwise = split_transform_spec(_get(cfg, "transform", str, ""))
-    if noise_spec:
-        if ds is None:
-            raise ValueError("noise transforms need a dataset to apply to")
-        chain = parse_transform_spec(noise_spec, child_seed(cfg["seed"], _DATA, 1))
-        for step in chain:
-            ds = step.apply(ds)
+    spec = _get(cfg, "transform", str, "")
+    noise, pointwise = split_transform_spec(spec, child_seed(cfg["seed"], _DATA, 1))
+    if noise and ds is None:
+        raise ValueError("noise transforms need a dataset to apply to")
+    for step in noise:
+        ds = step.apply(ds)
     return problem, ds, pointwise
 
 
@@ -248,7 +247,7 @@ def _resolve_trainer(cfg, spec, problem, pointwise):
     trainer = build(params, child_seed(cfg["seed"], _TRAIN), problem)
     # the oracle rule acts on raw coordinates; transforms belong to trainers
     if pointwise and name != "bayes":
-        return name, make_pipeline_trainer(pointwise, trainer, child_seed(cfg["seed"], _TRAIN, 1))
+        return name, make_pipeline_trainer(pointwise, trainer)
     return name, trainer
 
 

@@ -164,14 +164,10 @@ def adaboost(ds: LabeledDataset, t_rounds: int) -> BoostModel:
         pred = stump.predict(ds.features)
         miss = pred != ds.labels
         eps = float(weights[miss].sum() / weights.sum())
-        if eps <= _EPS_BOOST:
-            rounds.append(BoostRound(stump, _ALPHA_CAP, eps))
-            break
-        if eps >= 0.5 - _EPS_BOOST:
-            rounds.append(BoostRound(stump, 0.5 * np.log((1.0 - eps) / eps), eps))
-            break
-        alpha = 0.5 * np.log((1.0 - eps) / eps)
+        alpha = _ALPHA_CAP if eps <= _EPS_BOOST else 0.5 * np.log((1.0 - eps) / eps)
         rounds.append(BoostRound(stump, alpha, eps))
+        if eps <= _EPS_BOOST or eps >= 0.5 - _EPS_BOOST:
+            break
         weights = weights * np.exp(-alpha * ds.labels * pred)
         weights = weights / weights.sum()
     return BoostModel(tuple(rounds))

@@ -15,6 +15,9 @@ Transform kinds:
 
 A transform spec string names a chain: ``"standardize+poly2"``,
 ``"noise:5"``, ``"select:0,2"`` combined left-to-right with ``+``.
+:func:`split_transform_spec` parses it once and splits the steps: the
+per-dataset prefix (noise) is applied to the data, and the pointwise
+rest goes to :func:`make_pipeline_trainer`, which fits it with the model.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ class FeatureTransform:
     def fit(self, ds: LabeledDataset) -> "FeatureTransform":
         """The transform to use for training data ``ds``: itself unless learned."""
         return self
-
-    def output_dim(self, d: int) -> int:
-        raise NotImplementedError
 
     def map(self, X: np.ndarray) -> np.ndarray:
         """Rowwise feature map, usable on unlabeled query points."""
@@ -64,9 +64,6 @@ def poly2_block(X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Poly2Expand(FeatureTransform):
-    def output_dim(self, d):
-        return d + d * (d + 1) // 2
-
     def map(self, X):
         return np.hstack([X, poly2_block(X)])
 
@@ -83,9 +80,6 @@ class Standardize(FeatureTransform):
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean, std)
 
-    def output_dim(self, d):
-        return d
-
     def map(self, X):
         return (X - self.mean) / self.std
 
@@ -95,9 +89,6 @@ class AppendNoise(FeatureTransform):
     count: int
     seed: int = 0
     per_dataset = True
-
-    def output_dim(self, d):
-        return d + self.count
 
     def map(self, X):
         raise ValueError(
@@ -116,9 +107,6 @@ class AppendNoise(FeatureTransform):
 @dataclass(frozen=True)
 class Select(FeatureTransform):
     indices: tuple
-
-    def output_dim(self, d):
-        return len(self.indices)
 
     def map(self, X):
         idx = np.asarray(self.indices, dtype=int)
@@ -144,10 +132,6 @@ TRANSFORMS = {
 }
 
 
-def _parts(spec: str) -> list:
-    return [p.strip() for p in spec.split("+")] if spec else []
-
-
 def parse_transform_spec(spec: str, seed: int = 0):
     """Turn ``"standardize+poly2"`` &c. into a list of chain steps.
 
@@ -156,7 +140,7 @@ def parse_transform_spec(spec: str, seed: int = 0):
     whose ``fit`` learns the parameters (see :func:`fit_transform_chain`).
     """
     chain = []
-    for i, part in enumerate(_parts(spec)):
+    for i, part in enumerate([p.strip() for p in spec.split("+")] if spec else []):
         name, colon, arg = part.partition(":")
         if name + colon not in TRANSFORMS:
             raise ValueError(f"unknown transform {part!r}")
@@ -196,30 +180,31 @@ class PipelineClassifier(DecisionFunction):
         return self.model.decision_function(self._map(X))
 
 
-def split_transform_spec(spec: str):
-    """Split a chain into (per-dataset prefix, pointwise remainder).
+def split_transform_spec(spec: str, seed: int = 0):
+    """Parse a chain once into (per-dataset steps, pointwise steps).
 
     Per-dataset steps (noise) draw fresh columns per dataset and therefore
     cannot sit inside a prediction pipeline; they are only allowed as a
     prefix of the chain, to be applied to the data before training or
-    estimating.
-    """
-    flags = [step.per_dataset for step in parse_transform_spec(spec)]
-    if flags != sorted(flags, reverse=True):
-        raise ValueError("noise steps must come before pointwise transforms")
-    parts = _parts(spec)
-    return "+".join(parts[: sum(flags)]), "+".join(parts[sum(flags) :])
-
-
-def make_pipeline_trainer(spec: str, base_trainer, seed: int = 0):
-    """Trainer fitting a pointwise transform chain and the base model together.
-
-    The chain (standardize parameters included) is fitted on whatever
-    training set the trainer receives, then replayed on query points by
-    the returned pipeline, so estimator resampling never leaks test
-    statistics into the fit.
+    estimating.  Being a prefix, step i keeps its seed ``child_seed(seed, i)``
+    of the whole chain; the pointwise steps read no seed.
     """
     chain = parse_transform_spec(spec, seed)
+    flags = [step.per_dataset for step in chain]
+    if flags != sorted(flags, reverse=True):
+        raise ValueError("noise steps must come before pointwise transforms")
+    return chain[: sum(flags)], chain[sum(flags) :]
+
+
+def make_pipeline_trainer(chain, base_trainer):
+    """Trainer fitting parsed pointwise chain steps and the base model together.
+
+    ``chain`` is a list of steps, such as the pointwise part of
+    :func:`split_transform_spec`.  It is fitted (standardize parameters
+    included) on whatever training set the trainer receives, then
+    replayed on query points by the returned pipeline, so estimator
+    resampling never leaks test statistics into the fit.
+    """
     if any(step.per_dataset for step in chain):
         raise ValueError(
             "noise steps belong to the dataset, not a pipeline; "

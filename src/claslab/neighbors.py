@@ -30,9 +30,7 @@ class KnnClassifier(DecisionFunction):
         X = as_matrix(X, self.dim)
         stored = self.dataset.features
         labels = self.dataset.labels
-        k, n = self.k, stored.shape[0]
-        if k == n:
-            return np.full(X.shape[0], labels.mean())
+        k = self.k
         # squared distances order identically to Euclidean ones
         dist = cdist(X, stored, "sqeuclidean")
         part = np.argpartition(dist, k - 1, axis=1)[:, :k]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import DecisionFunction, as_matrix, point_or_batch
+from .base import _BLOCK, DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -99,19 +99,31 @@ def _log_joint_margin(problem, X):
     return (log_prior_pos + lp) - (log_prior_neg + ln)
 
 
-def sample(problem: GaussianMixtureProblem, n: int, seed: int = 0) -> LabeledDataset:
-    """Draw n labeled points: labels Bernoulli(prior_pos), then the class Gaussian."""
+def _draws(problem: GaussianMixtureProblem, n: int, seed: int, block: int):
+    """Yield the n points of ``sample(problem, n, seed)`` as (features, labels) blocks.
+
+    The labels' n uniforms come first in the stream, one 64-bit draw
+    each, so a second generator advanced past them yields the same
+    normals whatever the block size.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    labels = np.where(rng.random(n) < problem.prior_pos, 1, -1)
-    z = rng.standard_normal((n, problem.dim))
+    uniforms = np.random.default_rng(seed)
+    normals = np.random.default_rng(seed)
+    normals.bit_generator.advance(n)
     chol_pos = np.linalg.cholesky(problem.cov_pos)
     chol_neg = np.linalg.cholesky(problem.cov_neg)
-    pos = labels == 1
-    feats = np.empty((n, problem.dim))
-    feats[pos] = problem.mean_pos + z[pos] @ chol_pos.T
-    feats[~pos] = problem.mean_neg + z[~pos] @ chol_neg.T
+    for lo in range(0, n, block):
+        labels = np.where(uniforms.random(min(block, n - lo)) < problem.prior_pos, 1, -1)
+        z = normals.standard_normal((len(labels), problem.dim))
+        # both maps act on the whole block: a one-row product rounds differently
+        pos, neg = problem.mean_pos + z @ chol_pos.T, problem.mean_neg + z @ chol_neg.T
+        yield np.where((labels == 1)[:, None], pos, neg), labels
+
+
+def sample(problem: GaussianMixtureProblem, n: int, seed: int = 0) -> LabeledDataset:
+    """Draw n labeled points: labels Bernoulli(prior_pos), then the class Gaussian."""
+    ((feats, labels),) = _draws(problem, n, seed, n)
     return LabeledDataset(feats, labels)
 
 
@@ -201,9 +213,11 @@ def true_error(
     """Monte-Carlo estimate of the misclassified probability mass."""
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
-    ds = sample(problem, n_mc, seed)
-    pred = classifier.predict(ds.features)
-    return float(np.mean(pred != ds.labels))
+    mistakes = sum(
+        np.count_nonzero(classifier.predict(feats) != labels)
+        for feats, labels in _draws(problem, n_mc, seed, _BLOCK)
+    )
+    return mistakes / n_mc
 
 
 def problem_to_json(problem: GaussianMixtureProblem) -> dict:

@@ -109,3 +109,12 @@ def test_true_error_memory_does_not_grow_with_the_score_matrix(fit):
     # the larger sample's own (n_mc, d) arrays, not n_mc x n_train scores
     sample_array = 4 * n * PROBLEM.dim * 8
     assert large - small <= 4 * sample_array
+
+
+def test_true_error_draws_its_sample_one_block_at_a_time():
+    model = cl.fit_lda(cl.sample(PROBLEM, 300, seed=3))
+    n = _BLOCK + 904
+    small = _peak_bytes(lambda: cl.true_error(model, PROBLEM, 4 * n, seed=4))
+    large = _peak_bytes(lambda: cl.true_error(model, PROBLEM, 40 * n, seed=4))
+    # less than one block's (rows, d) features and labels, whatever n_mc is
+    assert large - small < _BLOCK * (PROBLEM.dim + 1) * 8

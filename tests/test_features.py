@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from claslab.data import LabeledDataset
+from claslab.data import LabeledDataset, child_seed
 from claslab.features import (
     TRANSFORMS,
     AppendNoise,
@@ -173,10 +173,24 @@ class TestTransformSpecs:
             parse_transform_spec("pca")
 
     def test_split_noise_prefix(self):
-        assert split_transform_spec("noise:2+standardize") == ("noise:2", "standardize")
-        assert split_transform_spec("poly2") == ("", "poly2")
+        assert split_transform_spec("noise:2+standardize", seed=4) == (
+            [AppendNoise(2, child_seed(4, 0))], [Standardize]
+        )
+        assert split_transform_spec("poly2") == ([], [Poly2Expand()])
         with pytest.raises(ValueError, match="before"):
             split_transform_spec("standardize+noise:2")
+
+    @pytest.mark.parametrize(
+        "spec", ["noise:2", "noise:2+standardize", "noise:1+noise:3+poly2+select:0,1", "poly2"]
+    )
+    def test_split_steps_match_a_parse_of_their_own_part(self, spec):
+        # the noise prefix keeps the seeds it has in the whole chain, and the
+        # pointwise steps read no seed, so a pipeline needs none
+        prefix = "+".join(part for part in spec.split("+") if part.startswith("noise:"))
+        for seed in (0, 7):
+            noise, pointwise = split_transform_spec(spec, seed)
+            assert noise == parse_transform_spec(prefix, seed)
+            assert pointwise == split_transform_spec(spec, seed + 1)[1]
 
     def test_per_dataset_flag_alone_decides_the_split(self, monkeypatch):
         @dataclass(frozen=True)
@@ -185,11 +199,13 @@ class TestTransformSpecs:
             per_dataset = True
 
         monkeypatch.setitem(TRANSFORMS, "jitter", lambda arg, seed: Jitter(seed))
-        assert split_transform_spec("jitter+noise:1+poly2") == ("jitter+noise:1", "poly2")
+        assert split_transform_spec("jitter+noise:1+poly2", seed=3) == (
+            [Jitter(child_seed(3, 0)), AppendNoise(1, child_seed(3, 1))], [Poly2Expand()]
+        )
         with pytest.raises(ValueError, match="before"):
             split_transform_spec("poly2+jitter")
         with pytest.raises(ValueError, match="pipeline"):
-            make_pipeline_trainer("jitter", fit_lda)
+            make_pipeline_trainer([Jitter(0)], fit_lda)
 
     def test_fit_transform_chain_fits_standardize(self):
         ds = LabeledDataset([[0.0], [2.0]], [1, -1])
@@ -203,7 +219,7 @@ class TestPipeline:
         problem = equal_cov_problem(0.5, [3.0], [-3.0])
         train = sample(problem, 100, seed=10)
         trainer = make_pipeline_trainer(
-            "standardize", lambda d: train_least_squares(d, 0.1)
+            parse_transform_spec("standardize"), lambda d: train_least_squares(d, 0.1)
         )
         model = trainer(train)
         assert isinstance(model, PipelineClassifier)
@@ -214,7 +230,7 @@ class TestPipeline:
 
     def test_pipeline_rejects_noise(self):
         with pytest.raises(ValueError, match="noise"):
-            make_pipeline_trainer("noise:2", fit_lda)
+            make_pipeline_trainer(parse_transform_spec("noise:2"), fit_lda)
 
     def test_poly2_pipeline_learns_quadratic_boundary(self):
         # ring-shaped classes: inner -1, outer +1; linear fails, poly2 works
@@ -224,6 +240,8 @@ class TestPipeline:
         radii = radii + rng.normal(scale=0.05, size=160)
         X = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         ds = LabeledDataset(X, [-1] * 80 + [1] * 80)
-        trainer = make_pipeline_trainer("poly2", lambda d: train_least_squares(d, 1e-6))
+        trainer = make_pipeline_trainer(
+            parse_transform_spec("poly2"), lambda d: train_least_squares(d, 1e-6)
+        )
         model = trainer(ds)
         assert np.mean(model.predict(ds.features) != ds.labels) == 0.0

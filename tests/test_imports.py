@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package imports a name it never uses,
-and no module-level name is assigned that no module of the package reads."""
+no module-level name is assigned that no module of the package reads, and
+no class of the package defines a method that no source of the repo calls."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import claslab
 PACKAGE = Path(claslab.__file__).resolve().parent
 # the package's __init__ imports names only to export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+REPO = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list:
@@ -86,3 +88,45 @@ def test_the_scan_sees_a_dead_name():
 def test_no_dead_module_level_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert dead_names(sources) == []
+
+
+def methods(source: str) -> dict:
+    """Non-dunder methods and properties of the classes in ``source`` -> line."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    found[f"{node.name}.{item.name}"] = item.lineno
+    return found
+
+
+def dead_methods(package: dict, readers: list) -> list:
+    """Methods of ``package`` (module name -> source) whose name neither the
+    package nor any of the ``readers`` sources reads."""
+    read = set().union(*(read_names(src) for src in [*package.values(), *readers]))
+    return sorted(
+        f"{module}.{method} (line {line})"
+        for module, src in package.items()
+        for method, line in methods(src).items()
+        if method.rsplit(".", 1)[1] not in read
+    )
+
+
+def test_the_scan_sees_a_dead_method():
+    package = {
+        "a": "class A:\n    def used(self):\n        return self.prop\n"
+        "    @property\n    def prop(self):\n        return 1\n"
+        "    def dead(self):\n        pass\n    def __repr__(self):\n        return ''\n",
+    }
+    assert dead_methods(package, []) == ["a.A.dead (line 7)", "a.A.used (line 2)"]
+    assert dead_methods(package, ["A().used()\n"]) == ["a.A.dead (line 7)"]
+
+
+def test_no_dead_methods():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    readers = [
+        p.read_text(encoding="utf-8")
+        for p in [*(REPO / "tests").glob("*.py"), *(REPO / "bench").glob("*.py")]
+    ]
+    assert dead_methods(package, readers) == []

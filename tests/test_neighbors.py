@@ -38,6 +38,12 @@ class TestKnnClassify:
         for q in (-5.0, 0.5, 20.0):
             assert knn_classify(model, [q]) == -1
 
+    def test_k_equals_n_scores_the_mean_of_all_labels(self):
+        ds = sample(equal_cov_problem(0.3, [1.0, 0.0], [-1.0, 0.0]), 21, seed=4)
+        queries = np.vstack([np.random.default_rng(5).normal(scale=3.0, size=(40, 2)), ds.features])
+        scores = fit_knn(ds, ds.n).decision_function(queries)
+        np.testing.assert_array_equal(scores, np.full(len(queries), ds.labels.mean()))
+
     def test_distance_tie_takes_lower_index(self):
         model = fit_knn(LabeledDataset([[0.0], [2.0]], [-1, 1]), 1)
         assert knn_classify(model, [1.0]) == -1  # equidistant; index 0 wins

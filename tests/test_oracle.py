@@ -12,6 +12,7 @@ from claslab.oracle import (
     BayesClassifier,
     GaussianMixtureProblem,
     _crossings_1d,
+    _draws,
     _log_joint_margin,
     bayes_classify,
     bayes_error,
@@ -88,6 +89,25 @@ class TestSample:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             sample(SYMMETRIC, 0, seed=0)
+
+    @pytest.mark.parametrize("prior", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("block", [1, 2, 7, 4096, 5000])
+    def test_blocks_concatenate_to_the_one_block_sample(self, prior, block):
+        prob = GaussianMixtureProblem(
+            prior, [1.0, 0.0, 2.0], [-1.0, 0.5, 0.0],
+            [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]],
+            [[1.2, 0.2, 0.2], [0.2, 1.2, 0.2], [0.2, 0.2, 1.2]],
+        )
+        ds = sample(prob, 5000, seed=11)
+        feats, labels = (np.concatenate(a) for a in zip(*_draws(prob, 5000, 11, block)))
+        np.testing.assert_array_equal(labels, ds.labels)
+        if block == 1:
+            # BLAS multiplies a lone row by another path, which may round it
+            # differently in the last bit; true_error's blocks are never one row
+            # unless n_mc leaves one over
+            np.testing.assert_allclose(feats, ds.features, rtol=1e-15, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(feats, ds.features)
 
 
 class TestBayesClassify:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import claslab as cl
-from claslab.features import make_pipeline_trainer
+from claslab.features import make_pipeline_trainer, parse_transform_spec
 from claslab.neural import NetTrainConfig, train_net
 from claslab.serialize import load_model, model_from_dict, model_to_dict, save_model
 
@@ -31,7 +31,7 @@ def fitted_models():
         "boost": cl.adaboost(DS, 5),
         "net": train_net(DS, NetTrainConfig(hidden_units=3, max_iters=100, seed=5)),
         "pipeline": make_pipeline_trainer(
-            "standardize+poly2", lambda d: cl.train_least_squares(d, 0.1)
+            parse_transform_spec("standardize+poly2"), lambda d: cl.train_least_squares(d, 0.1)
         )(DS),
     }
 
