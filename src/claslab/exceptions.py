@@ -22,7 +22,7 @@ class NumericError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterative optimizer produced a non-finite or growing objective."""
+    """An iterative optimizer produced a non-finite objective."""
 
 
 class EstimationError(RuntimeError):

@@ -1,8 +1,9 @@
 """Regularized empirical risk minimization over affine score functions.
 
 Training minimizes  sum_i loss(w . x_i + w0, y_i) + lambda ||w||^2
-(the bias is never penalized).  The iterative path is plain full-batch
-gradient descent with a backtracking line search, which keeps every run
+(the bias is never penalized).  Losses with a curvature are minimized by
+damped Newton, hinge and absolute by full-batch gradient descent; both
+backtrack along the ray of training scores, which keeps every run
 deterministic.  Features are standardized internally for conditioning;
 the penalty is applied to the *original*-coordinate weights throughout,
 so the returned minimizer is the minimizer of the objective above, and
@@ -19,20 +20,23 @@ from scipy.special import expit
 
 from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
-from .exceptions import DivergenceError, NumericError
+from .exceptions import NumericError
 from .features import Standardize
 from .losses import get_loss
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-20
+_RAY_CHUNK = 8192  # scores evaluated per loss.value call of the line search
 
 
 @dataclass(frozen=True)
 class TrainInfo:
-    """How a gradient-descent run ended."""
+    """How an iterative fit ended: ``termination`` is "tolerance" (gradient
+    norm reached), "max_iters" (step budget spent) or "stalled" (no step
+    down to _MIN_STEP passed Armijo; the last accepted iterate is kept)."""
 
     iterations: int
-    termination: str  # "tolerance" | "max_iters"
+    termination: str
     objective: float
     objective_history: tuple[float, ...] = ()
 
@@ -97,13 +101,75 @@ def _objective_and_grad(Z, y, loss, lam, scale, v, v0):
     return obj, grad_v, grad_v0
 
 
-def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
-    """Gradient-descent fit of the regularized empirical risk.
+def _ray_search(s, u, y, loss, lam, scale, v, dv, slope, step):
+    """First of step, step/2, ... above _MIN_STEP that meets Armijo, or None.
 
-    Stops when the gradient norm drops to ``config.tolerance`` or after
-    ``config.max_iters`` accepted steps; ``info.termination`` records
-    which.  The 0-1 loss is rejected: minimizing it directly is
-    intractable, use a surrogate.
+    Candidate t has scores s + t*u and weights v + t*dv: a chunk of them
+    costs one ``loss.value`` call and no matrix product.  The test is
+    strict on the summed change of each term, whose rounding scales with
+    the change, so a step too small to change the objective fails.
+    """
+    base, w0 = loss.value(s, y), v / scale
+    width = max(1, _RAY_CHUNK // len(s))
+    while step > _MIN_STEP:
+        ts = step * 0.5 ** np.arange(width)
+        ts = ts[ts > _MIN_STEP]
+        with np.errstate(over="ignore", invalid="ignore"):  # such a step fails the test
+            change = np.sum(loss.value(s + ts[:, None] * u, y) - base, axis=1)
+        change += lam * np.sum(((v + ts[:, None] * dv) / scale) ** 2 - w0 * w0, axis=1)
+        passed = change < _ARMIJO * ts * slope
+        if passed.any():
+            return ts[np.argmax(passed)]
+        step = ts[-1] * 0.5
+    return None
+
+
+def _descend(Z, y, loss, config, scale, newton):
+    """Newton or gradient steps from zero weights to (v, v0, TrainInfo), or
+    None once a Newton iterate of a positive unpenalized loss has objective
+    below 1: each loss is 1 at margin 0, so every margin is then positive,
+    the data are separated and no minimizer exists."""
+    lam = config.lam
+    A = np.column_stack([Z, np.ones(len(y))])
+    v, v0 = np.zeros(Z.shape[1]), 0.0
+    obj, grad_v, grad_v0 = _objective_and_grad(Z, y, loss, lam, scale, v, v0)
+    history = [obj]
+    while True:
+        gnorm = np.sqrt(grad_v @ grad_v + grad_v0**2)
+        if newton and lam == 0 and loss.positive and obj < 1.0:
+            return None
+        termination = "tolerance" if gnorm <= config.tolerance else "max_iters"
+        if termination == "tolerance" or len(history) > config.max_iters:
+            break
+        s = Z @ v + v0
+        if newton:
+            hess = np.einsum("ni,n,nj->ij", A, loss.curvature(s, y), A)  # no n x d temporary
+            hess[:-1, :-1] += np.diag(2.0 * lam / scale**2)
+            grad = np.append(grad_v, grad_v0)
+            try:
+                direction = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:  # singular: the minimum-norm step
+                direction = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            dv, d0, slope, step = direction[:-1], direction[-1], grad @ direction, 1.0
+        else:
+            dv, d0, slope, step = -grad_v, -grad_v0, -(gnorm**2), config.step_size
+        t = _ray_search(s, A @ np.append(dv, d0), y, loss, lam, scale, v, dv, slope, step)
+        if t is None:
+            termination = "stalled"
+            break
+        v, v0 = v + t * dv, v0 + t * d0
+        obj, grad_v, grad_v0 = _objective_and_grad(Z, y, loss, lam, scale, v, v0)
+        history.append(obj)
+    return v, v0, TrainInfo(len(history) - 1, termination, obj, tuple(history))
+
+
+def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
+    """Fit the regularized empirical risk: Newton for smooth losses, else GD.
+
+    ``info.termination`` says how the fit ended.  Unpenalized separated
+    data under a positive loss have no minimizer; they get gradient
+    descent, which runs out its ``max_iters``.  The 0-1 loss is rejected:
+    minimizing it directly is intractable, use a surrogate.
     """
     loss = get_loss(config.loss) if isinstance(config.loss, str) else config.loss
     if not loss.differentiable:
@@ -113,51 +179,11 @@ def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
     standardize = Standardize.fit(ds)
     shift, scale, y = standardize.mean, standardize.std, ds.labels
     Z = standardize.map(ds.features)
-
-    v = np.zeros(ds.dim)
-    v0 = 0.0
-    obj, grad_v, grad_v0 = _objective_and_grad(Z, y, loss, config.lam, scale, v, v0)
-    history = [obj]
-    iterations = 0
-    termination = "max_iters"
-    rising = 0
-    for _ in range(config.max_iters):
-        gnorm = np.sqrt(grad_v @ grad_v + grad_v0**2)
-        if gnorm <= config.tolerance:
-            termination = "tolerance"
-            break
-        step = config.step_size
-        while step > _MIN_STEP:
-            cand_v = v - step * grad_v
-            cand_v0 = v0 - step * grad_v0
-            cand_obj, cand_gv, cand_gv0 = _objective_and_grad(
-                Z, y, loss, config.lam, scale, cand_v, cand_v0
-            )
-            if cand_obj <= obj - _ARMIJO * step * gnorm**2:
-                break
-            step *= 0.5
-        rising = rising + 1 if cand_obj > obj else 0
-        if rising >= 10:
-            raise DivergenceError(
-                "objective increased on 10 consecutive accepted steps"
-            )
-        v, v0, obj = cand_v, cand_v0, cand_obj
-        grad_v, grad_v0 = cand_gv, cand_gv0
-        history.append(obj)
-        iterations += 1
-    else:
-        gnorm = np.sqrt(grad_v @ grad_v + grad_v0**2)
-        if gnorm <= config.tolerance:
-            termination = "tolerance"
-
+    v, v0, info = _descend(Z, y, loss, config, scale, loss.smooth) or _descend(
+        Z, y, loss, config, scale, False
+    )
     weight = v / scale
     bias = v0 - float(weight @ shift)
-    info = TrainInfo(
-        iterations=iterations,
-        termination=termination,
-        objective=obj,
-        objective_history=tuple(history),
-    )
     return LinearHypothesis(weight, float(bias), shift, scale, info)
 
 

@@ -31,6 +31,12 @@ def _logistic_grad(m):
     return -0.5 * (1.0 - np.tanh(0.5 * m)) / LN2
 
 
+def _logistic_curvature(m):
+    # sigmoid(m) sigmoid(-m) / ln 2, without overflow at large |m|
+    e = np.exp(-np.abs(m))
+    return e / (1.0 + e) ** 2 / LN2
+
+
 _VALUES = {
     "logistic": _logistic,
     "hinge": lambda m: np.maximum(1.0 - m, 0.0),
@@ -48,6 +54,20 @@ _MARGIN_GRADS = {
     "truncated_squared": lambda m: -2.0 * np.maximum(1.0 - m, 0.0),
     "absolute": lambda m: -np.sign(1.0 - m),
 }
+
+# Second derivatives in the margin, for Newton; truncated_squared gets
+# the generalized Hessian 2[m < 1] (Keerthi & DeCoste 2005).  Hinge and
+# absolute have none and are left to gradient descent.
+_MARGIN_CURVATURES = {
+    "logistic": _logistic_curvature,
+    "squared": lambda m: np.full_like(m, 2.0),
+    "exponential": lambda m: np.exp(-m),
+    "truncated_squared": lambda m: np.where(m < 1.0, 2.0, 0.0),
+}
+
+# Losses above 0 at every margin: on separated data their unpenalized
+# risk keeps falling along the separating direction and has no minimizer.
+_POSITIVE = ("logistic", "exponential")
 
 LOSS_NAMES = ("zero_one",) + tuple(_VALUES)
 
@@ -68,6 +88,14 @@ class Loss:
     def differentiable(self) -> bool:
         return self.kind != "zero_one"
 
+    @property
+    def smooth(self) -> bool:
+        return self.kind in _MARGIN_CURVATURES
+
+    @property
+    def positive(self) -> bool:
+        return self.kind in _POSITIVE
+
     def value(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b)
@@ -85,6 +113,10 @@ class Loss:
         b = np.asarray(b)
         out = b * _MARGIN_GRADS[self.kind](b * a)
         return out if out.ndim else float(out)
+
+    def curvature(self, a, b):
+        """Second derivative with respect to the score a, for smooth losses."""
+        return b * b * _MARGIN_CURVATURES[self.kind](b * np.asarray(a, dtype=float))
 
 
 def get_loss(name: str) -> Loss:

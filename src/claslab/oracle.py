@@ -113,12 +113,14 @@ def _draws(problem: GaussianMixtureProblem, n: int, seed: int, block: int):
     normals.bit_generator.advance(n)
     chol_pos = np.linalg.cholesky(problem.cov_pos)
     chol_neg = np.linalg.cholesky(problem.cov_neg)
-    for lo in range(0, n, block):
-        labels = np.where(uniforms.random(min(block, n - lo)) < problem.prior_pos, 1, -1)
-        z = normals.standard_normal((len(labels), problem.dim))
+    while n > 0:
+        size = n if n <= block + 1 else block  # never a one-row last block
+        labels = np.where(uniforms.random(size) < problem.prior_pos, 1, -1)
+        z = normals.standard_normal((size, problem.dim))
         # both maps act on the whole block: a one-row product rounds differently
         pos, neg = problem.mean_pos + z @ chol_pos.T, problem.mean_neg + z @ chol_neg.T
         yield np.where((labels == 1)[:, None], pos, neg), labels
+        n -= size
 
 
 def sample(problem: GaussianMixtureProblem, n: int, seed: int = 0) -> LabeledDataset:

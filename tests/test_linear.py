@@ -1,12 +1,17 @@
-"""Gradient-descent ERM, logistic regression, and closed-form ridge."""
+"""Newton and gradient-descent ERM, logistic regression, and closed-form ridge."""
 
 import numpy as np
 import pytest
 
+from claslab import linear
 from claslab.data import LabeledDataset
 from claslab.exceptions import NumericError
+from claslab.features import Standardize
 from claslab.linear import (
+    _ARMIJO,
+    _MIN_STEP,
     TrainConfig,
+    _descend,
     _objective_and_grad,
     posterior_pos,
     train_least_squares,
@@ -67,7 +72,8 @@ class TestTrainLinear:
         h = train_linear(ds, TrainConfig(loss="squared", lam=1.0, max_iters=5000, tolerance=1e-6))
         assert h.info.termination == "tolerance"
         assert h.info.converged
-        h2 = train_linear(ds, TrainConfig(loss="squared", lam=1.0, max_iters=3))
+        # hinge stays on gradient descent; Newton solves squared loss in one step
+        h2 = train_linear(ds, TrainConfig(loss="hinge", lam=1.0, max_iters=3))
         assert h2.info.termination == "max_iters"
         assert h2.info.iterations == 3
 
@@ -106,6 +112,133 @@ class TestTrainLinear:
             for b in np.linspace(-1.5, 1.5, 61):
                 risk = full_objective(ds, loss, 0.0, np.array([w]), b)
                 assert risk >= best_risk - 1e-6
+
+
+def random_dataset(rng):
+    n, d = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+    y = rng.choice([-1, 1], size=n)
+    return LabeledDataset(rng.normal(size=(n, d)) + 0.7 * y[:, None] * rng.normal(size=d), y)
+
+
+def standardized(ds):
+    st = Standardize.fit(ds)
+    return st.map(ds.features), ds.labels, st.std
+
+
+def reference_descent(ds, config):
+    """Gradient descent that scores every halving of the step by a matrix
+    product, as the loop before the score ray did, under the same strict
+    Armijo test on the summed change of each term.  Returns (weight,
+    iterations, termination, resolved); ``resolved`` is False once some
+    candidate's change lay within rounding (1e-12 (1 + objective)) of the
+    Armijo threshold, where two correct evaluations may decide apart."""
+    loss, (Z, y, scale) = get_loss(config.loss), standardized(ds)
+    v, v0 = np.zeros(ds.dim), 0.0
+    obj, gv, gv0 = _objective_and_grad(Z, y, loss, config.lam, scale, v, v0)
+    iterations, resolved = 0, True
+    while True:
+        gnorm = np.sqrt(gv @ gv + gv0**2)
+        if gnorm <= config.tolerance:
+            return v / scale, iterations, "tolerance", resolved
+        if iterations == config.max_iters:
+            return v / scale, iterations, "max_iters", resolved
+        terms, w, step = loss.value(Z @ v + v0, y), v / scale, config.step_size
+        while step > _MIN_STEP:
+            cand_v, cand_v0 = v - step * gv, v0 - step * gv0
+            cand_w = cand_v / scale
+            change = np.sum(loss.value(Z @ cand_v + cand_v0, y) - terms)
+            change += config.lam * np.sum(cand_w * cand_w - w * w)
+            threshold = -_ARMIJO * step * gnorm**2
+            resolved &= abs(change - threshold) > 1e-12 * (1 + obj)
+            if change < threshold:
+                break
+            step *= 0.5
+        else:
+            return v / scale, iterations, "stalled", resolved
+        v, v0 = cand_v, cand_v0
+        obj, gv, gv0 = _objective_and_grad(Z, y, loss, config.lam, scale, v, v0)
+        iterations += 1
+
+
+class TestSolvers:
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "exponential", "truncated_squared"])
+    def test_newton_no_worse_than_long_gradient_descent(self, loss):
+        rng = np.random.default_rng(13)
+        for lam in (0.0, 0.1):
+            for _ in range(50):
+                ds = random_dataset(rng)
+                Z, y, scale = standardized(ds)
+                config = TrainConfig(loss=loss, lam=lam, max_iters=500, tolerance=1e-9)
+                newton = train_linear(ds, config).info
+                gd = _descend(Z, y, get_loss(loss), config, scale, False)[2]
+                assert newton.objective <= gd.objective + 1e-9 * (1 + abs(gd.objective))
+                # at the default tolerance Newton ends by its stop rule; only
+                # separated data, fitted by gradient descent, spend the budget
+                info = train_linear(ds, TrainConfig(loss=loss, lam=lam, max_iters=100)).info
+                assert info.termination in ("tolerance", "max_iters")
+
+    def test_squared_newton_is_least_squares(self):
+        rng = np.random.default_rng(14)
+        for lam in (0.0, 0.1):
+            for _ in range(20):
+                ds = random_dataset(rng)
+                h = train_linear(ds, TrainConfig(loss="squared", lam=lam))
+                exact = train_least_squares(ds, lam)
+                assert h.info.iterations == 1
+                np.testing.assert_allclose(h.weight, exact.weight, rtol=0, atol=1e-8)
+                assert h.bias == pytest.approx(exact.bias, abs=1e-8)
+
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "exponential", "truncated_squared"])
+    def test_duplicated_column_trains_without_penalty(self, loss):
+        # the Hessian is singular; the fit must match the one-column fit
+        ds = sample(equal_cov_problem(0.5, [0.5], [-0.5]), 40, seed=15)
+        twice = LabeledDataset(np.hstack([ds.features, ds.features]), ds.labels)
+        once, h = train_linear(ds, TrainConfig(loss=loss)), train_linear(twice, TrainConfig(loss=loss))
+        assert h.info.termination == "tolerance"
+        assert np.all(np.isfinite(h.weight))
+        assert h.info.objective == pytest.approx(once.info.objective, rel=1e-9)
+        np.testing.assert_allclose(h.decision_function(twice.features),
+                                   once.decision_function(ds.features), atol=1e-6)
+
+    def test_quasi_separated_data_give_finite_weights(self):
+        # a tied pair keeps the objective above 2, so no separation is
+        # certified, yet no minimizer exists: the others are separated
+        ds = LabeledDataset([[-2.0], [-1.0], [0.0], [0.0], [1.0], [2.0]], [-1, -1, -1, 1, 1, 1])
+        for loss in ("logistic", "exponential"):
+            h = train_linear(ds, TrainConfig(loss=loss))
+            assert np.all(np.isfinite(h.weight))
+            assert h.info.termination == "tolerance"
+            assert 2.0 < h.info.objective < 2.0 + 1e-5
+
+    @pytest.mark.parametrize("loss", ["hinge", "absolute"])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_ray_search_matches_per_candidate_descent(self, loss, lam):
+        rng = np.random.default_rng(16)
+        compared = 0
+        for _ in range(20):
+            ds = random_dataset(rng)
+            config = TrainConfig(loss=loss, lam=lam, max_iters=30)
+            h = train_linear(ds, config)
+            weight, iterations, termination, resolved = reference_descent(ds, config)
+            if not resolved:  # e.g. every stall: its last steps change nothing
+                continue
+            compared += 1
+            assert (h.info.iterations, h.info.termination) == (iterations, termination)
+            np.testing.assert_allclose(h.weight, weight, rtol=1e-9, atol=1e-9)
+        assert compared >= 10
+
+    def test_exhausted_search_stalls_at_the_last_accepted_iterate(self, monkeypatch):
+        ds = sample(equal_cov_problem(0.5, [0.8], [-0.8]), 60, seed=4)
+        free = train_linear(ds, TrainConfig(loss="hinge", lam=0.5, max_iters=50))
+        monkeypatch.setattr(linear, "_MIN_STEP", 0.3)  # candidates 1 and 1/2 only
+        h = train_linear(ds, TrainConfig(loss="hinge", lam=0.5, max_iters=50))
+        assert free.info.termination != "stalled"
+        assert h.info.termination == "stalled"
+        assert np.all(np.diff(h.info.objective_history) < 0)
+        loss = get_loss("hinge")
+        assert full_objective(ds, loss, 0.5, h.weight, h.bias) == pytest.approx(
+            h.info.objective, rel=1e-12
+        )
 
 
 class TestTrainLogistic:

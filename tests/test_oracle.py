@@ -103,11 +103,31 @@ class TestSample:
         np.testing.assert_array_equal(labels, ds.labels)
         if block == 1:
             # BLAS multiplies a lone row by another path, which may round it
-            # differently in the last bit; true_error's blocks are never one row
-            # unless n_mc leaves one over
+            # differently in the last bit; no block of a multi-block draw made
+            # with a larger block size is one row
             np.testing.assert_allclose(feats, ds.features, rtol=1e-15, atol=1e-15)
         else:
             np.testing.assert_array_equal(feats, ds.features)
+
+    @pytest.mark.parametrize("seed", [3, 4, 7])
+    def test_a_one_row_remainder_joins_the_block_before_it(self, seed):
+        # with a 4096-row block these seeds put a last row of 4097 through the
+        # one-row product, which rounded it differently from sample's
+        prob = GaussianMixtureProblem(
+            0.3, [1.0, 0.0, 2.0], [-1.0, 0.5, 0.0],
+            [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]],
+            [[1.2, 0.2, 0.2], [0.2, 1.2, 0.2], [0.2, 0.2, 1.2]],
+        )
+        ds = sample(prob, 4097, seed)
+        blocks = list(_draws(prob, 4097, seed, 4096))
+        assert [len(labels) for _, labels in blocks] == [4097]
+        feats, labels = (np.concatenate(a) for a in zip(*blocks))
+        np.testing.assert_array_equal(feats, ds.features)
+        np.testing.assert_array_equal(labels, ds.labels)
+        rule = BayesClassifier(prob)
+        mistakes = np.count_nonzero(rule.predict(ds.features) != ds.labels)
+        assert true_error(rule, prob, 4097, seed) == mistakes / 4097
+        assert [len(l) for _, l in _draws(prob, 2 * 4096 + 1, seed, 4096)] == [4096, 4097]
 
 
 class TestBayesClassify:
