@@ -61,6 +61,8 @@ def _typed(value, type_, what):
         (item,) = typing.get_args(type_)
         return [_typed(v, item, f"each of {what}") for v in _typed(value, list, what)]
     if type_ is float and type(value) is int:
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{what} lies beyond the range of a float")
         return float(value)
     if isinstance(value, type_) and not (type_ is int and isinstance(value, bool)):
         return value

@@ -285,9 +285,8 @@ def make_folds(
         groups = [np.arange(n)]
     for members in groups:
         perm = rng.permutation(members.size)
-        for idx in members[perm]:
-            fold_index[idx] = counter % k
-            counter += 1
+        fold_index[members[perm]] = (counter + np.arange(members.size)) % k
+        counter += members.size
     return FoldAssignment(fold_index, k)
 
 

@@ -51,15 +51,8 @@ class FeatureTransform:
 
 def poly2_block(X: np.ndarray) -> np.ndarray:
     """All unique degree-2 monomials of the rows, cross terms * sqrt(2)."""
-    n, d = X.shape
-    cols = []
-    for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                cols.append(X[:, i] * X[:, i])
-            else:
-                cols.append(np.sqrt(2.0) * X[:, i] * X[:, j])
-    return np.column_stack(cols) if cols else np.empty((n, 0))
+    i, j = np.triu_indices(X.shape[1])
+    return np.where(i == j, 1.0, np.sqrt(2.0)) * X[:, i] * X[:, j]
 
 
 @dataclass(frozen=True)

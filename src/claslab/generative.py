@@ -154,8 +154,8 @@ class ParzenModel(DecisionFunction):
 
 def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
     """Store the training points; all smoothing happens at query time."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (bandwidth > 0 and 0.0 < bandwidth * bandwidth < np.inf):
+        raise ValueError("bandwidth must be positive with a positive finite square")
     pos = _positive_rows(ds)
     return ParzenModel(
         bandwidth=float(bandwidth),

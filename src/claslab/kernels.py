@@ -50,8 +50,11 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}")
-        if self.kind == "rbf" and self.sigma <= 0:
-            raise ValueError("rbf kernel needs sigma > 0")
+        # a NaN passes, so that its kernel fails the fit's finiteness check
+        if self.kind == "rbf" and (self.sigma <= 0 or self.sigma * self.sigma in (0.0, np.inf)):
+            raise ValueError("rbf kernel needs sigma > 0 whose square is positive and finite")
+        if self.kind == "poly2_inhomogeneous" and self.c * self.c == np.inf:
+            raise ValueError("poly2_inhomogeneous kernel needs c whose square is finite")
 
     def matrix(self, Z, X) -> np.ndarray:
         """Cross-kernel matrix with entries k(Z[i], X[j])."""

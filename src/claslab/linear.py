@@ -33,7 +33,10 @@ _RAY_CHUNK = 8192  # scores evaluated per loss.value call of the line search
 class TrainInfo:
     """How an iterative fit ended: ``termination`` is "tolerance" (gradient
     norm reached), "max_iters" (step budget spent) or "stalled" (no step
-    down to _MIN_STEP passed Armijo; the last accepted iterate is kept)."""
+    down to _MIN_STEP passed Armijo; the last accepted iterate is kept).
+    "tolerance" does not prove that a minimizer exists: an unpenalized logistic
+    or exponential fit of quasi-separated data (separable, with some points
+    on the hyperplane) has none, yet it can end "tolerance" at large weights."""
 
     iterations: int
     termination: str

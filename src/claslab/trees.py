@@ -1,13 +1,15 @@
 """Axis-aligned threshold decision trees with traceable decisions.
 
-Trees are grown by greedy recursive partitioning: every node searches
-all (feature, threshold) pairs -- thresholds are midpoints between
-consecutive sorted distinct values -- and keeps the split with the
-lowest weighted Gini impurity of the children.  A split is accepted as
-long as it does not worsen impurity; a node becomes a leaf on purity,
-at max_depth, when no candidate respects min_leaf_size, or when every
-candidate would increase impurity.  Leaves carry the (weighted)
-majority label, ties going to +1.
+Trees are grown by greedy recursive partitioning: every node scores
+all (feature, threshold) pairs in one pass over a (features, cuts)
+table -- thresholds are midpoints between consecutive sorted distinct
+values -- and keeps the split with the lowest weighted Gini impurity
+of the children, ties going to the lowest feature, then to the lowest
+threshold.  A split is accepted as long as it does not worsen
+impurity; a node becomes a leaf on purity, at max_depth, when no
+candidate respects min_leaf_size, or when every candidate would
+increase impurity.  Leaves carry the (weighted) majority label, ties
+going to +1.
 
 The left branch always means "value <= threshold"; instance weights
 are supported so boosted stumps can reuse the same search.
@@ -94,39 +96,6 @@ def _gini_vec(w_pos, w_neg):
     return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
-def _best_split(X, y, w, min_leaf_size):
-    """Lowest-weighted-Gini (feature, threshold), ties to the lower pair."""
-    n = X.shape[0]
-    total_pos = float(w[y == 1].sum())
-    total_neg = float(w[y == -1].sum())
-    total = total_pos + total_neg
-    if total <= 0.0 or n < 2:
-        return None
-    positions = np.arange(1, n)  # left side takes the first `positions` points
-    best = None  # (impurity, feature, threshold)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        ws = w[order]
-        valid = (
-            (xs[:-1] != xs[1:])
-            & (positions >= min_leaf_size)
-            & (n - positions >= min_leaf_size)
-        )
-        if not valid.any():
-            continue
-        lp = np.cumsum(np.where(ys == 1, ws, 0.0))[:-1]
-        ln_ = np.cumsum(np.where(ys == -1, ws, 0.0))[:-1]
-        rp, rn = total_pos - lp, total_neg - ln_
-        impurity = ((lp + ln_) * _gini_vec(lp, ln_) + (rp + rn) * _gini_vec(rp, rn)) / total
-        impurity[~valid] = np.inf
-        i = int(np.argmin(impurity))  # first minimum = lowest threshold
-        if best is None or impurity[i] < best[0]:
-            best = (float(impurity[i]), j, 0.5 * (xs[i] + xs[i + 1]))
-    return best
-
-
 def _grow(X, y, w, depth, max_depth, min_leaf_size):
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
@@ -134,14 +103,30 @@ def _grow(X, y, w, depth, max_depth, min_leaf_size):
     node_gini = _gini_vec(w_pos, w_neg)
     if node_gini <= 0.0 or depth >= max_depth:
         return TreeNode(label=label)
-    best = _best_split(X, y, w, min_leaf_size)
-    if best is None or best[0] > node_gini + _EPS:
+    # row j, column i scores the cut of feature j after its i + 1 smallest values
+    n = X.shape[0]
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    head = order[:, :-1]  # the largest value never lies left of a cut
+    left_pos = np.cumsum(np.where(y == 1, w, 0.0)[head], axis=1)
+    left_neg = np.cumsum(np.where(y == -1, w, 0.0)[head], axis=1)
+    del order, head
+    impurity = (left_pos + left_neg) * _gini_vec(left_pos, left_neg)
+    right_pos = np.subtract(w_pos, left_pos, out=left_pos)
+    right_neg = np.subtract(w_neg, left_neg, out=left_neg)
+    impurity += (right_pos + right_neg) * _gini_vec(right_pos, right_neg)
+    impurity /= w_pos + w_neg
+    size = np.arange(1, n)  # rows left of each cut
+    impurity[(xs[:, :-1] == xs[:, 1:]) | (np.minimum(size, n - size) < min_leaf_size)] = np.inf
+    # the first minimum in row-major order: lowest feature, then lowest threshold
+    feature, i = np.unravel_index(np.argmin(impurity), impurity.shape)
+    if impurity[feature, i] > node_gini + _EPS:
         return TreeNode(label=label)
-    _, feature, threshold = best
+    threshold = 0.5 * (xs[feature, i] + xs[feature, i + 1])
     mask = X[:, feature] <= threshold
     left = _grow(X[mask], y[mask], w[mask], depth + 1, max_depth, min_leaf_size)
     right = _grow(X[~mask], y[~mask], w[~mask], depth + 1, max_depth, min_leaf_size)
-    return TreeNode(feature, float(threshold), label, left, right)
+    return TreeNode(int(feature), float(threshold), label, left, right)
 
 
 def fit_tree(

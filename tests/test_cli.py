@@ -465,6 +465,27 @@ def test_wrong_json_type_exits_2(workdir, capsys, case):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+# Each width or offset is no float, or would overflow or underflow to 0 when squared.
+OUT_OF_RANGE_CONFIGS = {
+    "parzen_integer_bandwidth_beyond_floats": {"name": "parzen", "params": {"bandwidth": 10**400}},
+    "parzen_huge_bandwidth": {"name": "parzen", "params": {"bandwidth": 1e200}},
+    "parzen_tiny_bandwidth": {"name": "parzen", "params": {"bandwidth": 1e-200}},
+    "rbf_huge_sigma": {"name": "kernel_ridge", "params": {"sigma": 1e200, "lambda": 0.1}},
+    "poly2_huge_offset": {
+        "name": "kernel_ridge",
+        "params": {"kernel": "poly2_inhomogeneous", "c": 1e200, "lambda": 0.1},
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_CONFIGS))
+def test_out_of_range_width_or_offset_exits_2(workdir, capsys, case):
+    cfg = {**small_config(workdir, "eval"), "trainer": OUT_OF_RANGE_CONFIGS[case]}
+    assert run(workdir, "eval", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_memory_error_exits_3(workdir, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError

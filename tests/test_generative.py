@@ -199,6 +199,12 @@ class TestParzen:
         with pytest.raises(ValueError):
             fit_parzen(HAND, 0.0)
 
+    @pytest.mark.parametrize("bandwidth", [1e200, 1e-200, float("inf"), float("nan")])
+    def test_bandwidth_without_a_positive_finite_square_rejected(self, bandwidth):
+        # 1e200 ** 2 overflows; 1e-200 ** 2 underflows to 0, which made every score NaN
+        with pytest.raises(ValueError, match="bandwidth"):
+            fit_parzen(HAND, bandwidth)
+
     def test_single_class_rejected(self):
         with pytest.raises(FitError):
             fit_parzen(LabeledDataset([[0.0]], [1]), 1.0)

@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses,
 no module-level name is assigned that no module of the package reads, and
-no class of the package defines a method that no source of the repo calls."""
+the package defines no function, class or method that no source of the
+repo reads."""
 
 import ast
 from pathlib import Path
@@ -66,28 +67,14 @@ def read_names(source: str) -> set:
     return read
 
 
-def dead_names(sources: dict) -> list:
-    """Module-level names of ``sources`` (module name -> source) that none of them reads."""
-    read = set().union(*(read_names(src) for src in sources.values()))
-    return sorted(
-        f"{module}.{name} (line {line})"
-        for module, src in sources.items()
-        for name, line in assigned_names(src).items()
-        if name not in read
-    )
-
-
-def test_the_scan_sees_a_dead_name():
-    sources = {
-        "a": "X = 1\nY: int = 2\nZ, W = 3, 4\n__version__ = '0'\ndef f():\n    return X\n",
-        "b": "from a import W\nimport a\nprint(a.Y)\n",
+def defined_names(source: str) -> dict:
+    """Non-dunder functions and classes defined at module level -> line."""
+    return {
+        node.name: node.lineno
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
     }
-    assert dead_names(sources) == ["a.Z (line 3)"]
-
-
-def test_no_dead_module_level_names():
-    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert dead_names(sources) == []
 
 
 def methods(source: str) -> dict:
@@ -101,16 +88,56 @@ def methods(source: str) -> dict:
     return found
 
 
-def dead_methods(package: dict, readers: list) -> list:
-    """Methods of ``package`` (module name -> source) whose name neither the
-    package nor any of the ``readers`` sources reads."""
+def unread(package: dict, readers: list, found) -> list:
+    """Names that ``found`` lists in a source of ``package`` (module name ->
+    source) and that neither the package nor any of the ``readers`` reads;
+    a method counts as read when its own name is."""
     read = set().union(*(read_names(src) for src in [*package.values(), *readers]))
     return sorted(
-        f"{module}.{method} (line {line})"
+        f"{module}.{name} (line {line})"
         for module, src in package.items()
-        for method, line in methods(src).items()
-        if method.rsplit(".", 1)[1] not in read
+        for name, line in found(src).items()
+        if name.rsplit(".", 1)[-1] not in read
     )
+
+
+def package_sources() -> dict:
+    return {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+
+
+def reader_sources() -> list:
+    """Every test and benchmark source: they may read what the package defines."""
+    return [
+        p.read_text(encoding="utf-8")
+        for p in [*(REPO / "tests").glob("*.py"), *(REPO / "bench").glob("*.py")]
+    ]
+
+
+def test_the_scan_sees_a_dead_name():
+    sources = {
+        "a": "X = 1\nY: int = 2\nZ, W = 3, 4\n__version__ = '0'\ndef f():\n    return X\n",
+        "b": "from a import W\nimport a\nprint(a.Y)\n",
+    }
+    assert unread(sources, [], assigned_names) == ["a.Z (line 3)"]
+
+
+def test_no_dead_module_level_names():
+    # an assignment counts as read only when the package itself reads it
+    assert unread(package_sources(), [], assigned_names) == []
+
+
+def test_the_scan_sees_a_dead_function():
+    package = {
+        "a": "def used():\n    return Shown()\ndef dead():\n    pass\n"
+        "class Shown:\n    pass\nclass Hidden:\n    pass\ndef __getattr__(name):\n    pass\n",
+        "__init__": "from .a import Hidden\n",
+    }
+    assert unread(package, [], defined_names) == ["a.dead (line 3)", "a.used (line 1)"]
+    assert unread(package, ["used()\n"], defined_names) == ["a.dead (line 3)"]
+
+
+def test_no_dead_functions():
+    assert unread(package_sources(), reader_sources(), defined_names) == []
 
 
 def test_the_scan_sees_a_dead_method():
@@ -119,14 +146,9 @@ def test_the_scan_sees_a_dead_method():
         "    @property\n    def prop(self):\n        return 1\n"
         "    def dead(self):\n        pass\n    def __repr__(self):\n        return ''\n",
     }
-    assert dead_methods(package, []) == ["a.A.dead (line 7)", "a.A.used (line 2)"]
-    assert dead_methods(package, ["A().used()\n"]) == ["a.A.dead (line 7)"]
+    assert unread(package, [], methods) == ["a.A.dead (line 7)", "a.A.used (line 2)"]
+    assert unread(package, ["A().used()\n"], methods) == ["a.A.dead (line 7)"]
 
 
 def test_no_dead_methods():
-    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    readers = [
-        p.read_text(encoding="utf-8")
-        for p in [*(REPO / "tests").glob("*.py"), *(REPO / "bench").glob("*.py")]
-    ]
-    assert dead_methods(package, readers) == []
+    assert unread(package_sources(), reader_sources(), methods) == []

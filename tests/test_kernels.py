@@ -21,6 +21,7 @@ from claslab.kernels import (
 )
 from claslab.linear import train_least_squares
 from claslab.oracle import GaussianMixtureProblem, equal_cov_problem, sample
+from claslab.serialize import model_from_dict, model_to_dict
 
 ALL_KERNELS = [
     Kernel("linear"),
@@ -69,6 +70,28 @@ class TestKernelEval:
         for k in ALL_KERNELS:
             z, x = rng.normal(size=3), rng.normal(size=3)
             assert kernel_eval(k, z, x) == kernel_eval(k, x, z)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "rbf", "sigma": 1e200},
+    {"kind": "rbf", "sigma": 1e-200},
+    {"kind": "rbf", "sigma": float("inf")},
+    {"kind": "poly2_inhomogeneous", "c": 1e200},
+    {"kind": "poly2_inhomogeneous", "c": float("-inf")},
+])
+def test_width_or_offset_whose_square_is_not_finite_or_positive_rejected(kwargs):
+    with pytest.raises(ValueError, match="square"):
+        Kernel(**kwargs)
+    # a model file goes through the same check when it is loaded
+    km = train_kernel_machine(LabeledDataset([[0.0], [1.0]], [1, -1]), Kernel(kwargs["kind"]), 1.0)
+    obj = model_to_dict(km)
+    obj["kernel"].update({k: v for k, v in kwargs.items() if k != "kind"})
+    with pytest.raises(ValueError, match="square"):
+        model_from_dict(obj)
+
+
+def test_a_width_or_offset_that_the_kernel_does_not_use_is_not_checked():
+    assert Kernel("linear", c=1e200, sigma=1e-200).matrix([[1.0]], [[2.0]])[0, 0] == 2.0
 
 
 class TestGramMatrix:

@@ -1,11 +1,17 @@
 """Decision trees: split search, classification, tracing, rendering."""
 
+import json
+
 import numpy as np
 import pytest
 
+from claslab import trees
+from claslab.base import sign_labels
 from claslab.data import LabeledDataset
+from claslab.ensembles import TreeConfig, adaboost, bagging, random_subspace
 from claslab.oracle import equal_cov_problem, sample
-from claslab.trees import fit_tree, tree_classify, tree_trace
+from claslab.serialize import model_to_dict
+from claslab.trees import TreeNode, fit_tree, tree_classify, tree_trace
 
 FOUR = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [-1, -1, 1, 1])
 XOR = LabeledDataset([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], [-1, -1, 1, 1])
@@ -46,6 +52,21 @@ class TestFitTree:
         ds = LabeledDataset([[0.0], [0.0]], [1, -1])
         heavy_neg = fit_tree(ds, max_depth=1, sample_weight=np.array([0.1, 0.9]))
         assert heavy_neg.root.label == -1
+
+    def test_tie_between_features_goes_to_the_lower_feature(self):
+        # both columns split the labels perfectly, so both best cuts score 0
+        low, high = [0.0, 1.0, 2.0, 3.0], [10.0, 11.0, 12.0, 13.0]
+        for columns, threshold in (((low, high), 1.5), ((high, low), 11.5)):
+            ds = LabeledDataset(np.column_stack(columns), [-1, -1, 1, 1])
+            tree = fit_tree(ds, max_depth=1)
+            assert (tree.root.feature, tree.root.threshold) == (0, threshold)
+
+    def test_tie_between_thresholds_goes_to_the_lower_threshold(self):
+        # cuts at 1.5 and 3.5 each leave one pure pair and one 2:2 side,
+        # which unit weights make exactly equal: weighted Gini 2/6
+        ds = LabeledDataset([[float(v)] for v in range(6)], [-1, -1, 1, 1, -1, -1])
+        tree = fit_tree(ds, max_depth=1, sample_weight=np.ones(6))
+        assert tree.root.threshold == 1.5
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -98,3 +119,82 @@ class TestTreeTrace:
 def test_render_golden():
     tree = fit_tree(FOUR, max_depth=1)
     assert tree.render() == "f0 <= 1.5\n  leaf: -1\n  leaf: +1\n"
+
+
+def _reference_best_split(X, y, w, min_leaf_size):
+    """Lowest-weighted-Gini (feature, threshold) by a loop over features,
+    ties to the lower pair: the split search that ``_grow`` replaced."""
+    n = X.shape[0]
+    total_pos = float(w[y == 1].sum())
+    total_neg = float(w[y == -1].sum())
+    total = total_pos + total_neg
+    if total <= 0.0 or n < 2:
+        return None
+    positions = np.arange(1, n)
+    best = None  # (impurity, feature, threshold)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs, ys, ws = X[order, j], y[order], w[order]
+        valid = (
+            (xs[:-1] != xs[1:])
+            & (positions >= min_leaf_size)
+            & (n - positions >= min_leaf_size)
+        )
+        if not valid.any():
+            continue
+        lp = np.cumsum(np.where(ys == 1, ws, 0.0))[:-1]
+        ln_ = np.cumsum(np.where(ys == -1, ws, 0.0))[:-1]
+        rp, rn = total_pos - lp, total_neg - ln_
+        impurity = (
+            (lp + ln_) * trees._gini_vec(lp, ln_) + (rp + rn) * trees._gini_vec(rp, rn)
+        ) / total
+        impurity[~valid] = np.inf
+        i = int(np.argmin(impurity))
+        if best is None or impurity[i] < best[0]:
+            best = (float(impurity[i]), j, 0.5 * (xs[i] + xs[i + 1]))
+    return best
+
+
+def _reference_grow(X, y, w, depth, max_depth, min_leaf_size):
+    w_pos = float(w[y == 1].sum())
+    w_neg = float(w[y == -1].sum())
+    label = int(sign_labels(w_pos - w_neg))
+    node_gini = trees._gini_vec(w_pos, w_neg)
+    if node_gini <= 0.0 or depth >= max_depth:
+        return TreeNode(label=label)
+    best = _reference_best_split(X, y, w, min_leaf_size)
+    if best is None or best[0] > node_gini + trees._EPS:
+        return TreeNode(label=label)
+    _, feature, threshold = best
+    mask = X[:, feature] <= threshold
+    left = _reference_grow(X[mask], y[mask], w[mask], depth + 1, max_depth, min_leaf_size)
+    right = _reference_grow(X[~mask], y[~mask], w[~mask], depth + 1, max_depth, min_leaf_size)
+    return TreeNode(feature, float(threshold), label, left, right)
+
+
+def _tree_models(rng):
+    """Tree, boosted, bagged and subspace models of one random case, as JSON."""
+    n, d = int(rng.integers(1, 120)), int(rng.integers(1, 8))
+    # rounding makes tied values, and so duplicate and tied cuts
+    X = np.round(rng.normal(size=(n, d)), int(rng.integers(0, 3)))
+    ds = LabeledDataset(X, rng.choice([-1, 1], size=n))
+    weights = rng.random(n) * (rng.random(n) < 0.8)
+    config = TreeConfig(int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+    seed = int(rng.integers(1000))
+    models = [
+        fit_tree(ds, config.max_depth, config.min_leaf_size),
+        fit_tree(ds, config.max_depth, config.min_leaf_size, sample_weight=weights),
+        adaboost(ds, 4),
+        bagging(ds, config, 2, seed),
+        random_subspace(ds, config, 2, int(rng.integers(1, d + 1)), seed),
+    ]
+    return [json.dumps(model_to_dict(m), sort_keys=True) for m in models]
+
+
+def test_one_pass_split_grows_the_reference_loops_models(monkeypatch):
+    for case in range(200):
+        grown = _tree_models(np.random.default_rng(case))
+        with monkeypatch.context() as patch:
+            patch.setattr(trees, "_grow", _reference_grow)
+            reference = _tree_models(np.random.default_rng(case))
+        assert grown == reference, f"case {case}"
