@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -56,7 +57,7 @@ _KWARGS = {"lambda": "lam"}  # config key -> keyword, where the key is reserved 
 
 
 def _typed(value, type_, what):
-    """``value`` checked against a schema type; a float accepts an integer."""
+    """``value`` checked against a schema type; a float must be finite and accepts an integer."""
     if typing.get_origin(type_) is list:
         (item,) = typing.get_args(type_)
         return [_typed(v, item, f"each of {what}") for v in _typed(value, list, what)]
@@ -64,6 +65,8 @@ def _typed(value, type_, what):
         if abs(value) > sys.float_info.max:
             raise ValueError(f"{what} lies beyond the range of a float")
         return float(value)
+    if type_ is float and isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
     if isinstance(value, type_) and not (type_ is int and isinstance(value, bool)):
         return value
     raise ValueError(f"{what} must be a JSON {_JSON_TYPES[type_]}, got {value!r}")

@@ -8,6 +8,7 @@ two runs with the same seed produce identical partitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,7 @@ class LabeledDataset:
             raise ValueError("dataset needs at least one row and one column")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features contain non-finite values")
-        if not np.all(np.isin(labs, (-1, 1))):
+        if not np.all((labs == 1) | (labs == -1)):
             raise ValueError("labels must be -1 or +1")
         if self.feature_names is not None:
             names = tuple(self.feature_names)
@@ -189,7 +190,7 @@ def load_csv(path) -> LabeledDataset:
                     f"{path}: row {r}, column {header[c]!r}: "
                     f"cannot parse {cell!r} as a number"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DataFormatError(
                     f"{path}: row {r}, column {header[c]!r}: non-finite value"
                 )

@@ -30,7 +30,12 @@ from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
 from .exceptions import NumericError
 
-KERNEL_KINDS = ("linear", "poly2_homogeneous", "poly2_inhomogeneous", "rbf")
+KERNEL_KINDS = {
+    "linear": lambda k, Z, X: Z @ X.T,
+    "poly2_homogeneous": lambda k, Z, X: (Z @ X.T) ** 2,
+    "poly2_inhomogeneous": lambda k, Z, X: (Z @ X.T + k.c**2) ** 2,
+    "rbf": lambda k, Z, X: np.exp(-cdist(Z, X, "sqeuclidean") / k.sigma**2),
+}
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,7 @@ class Kernel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if Z.shape[1] != X.shape[1]:
             raise ValueError("kernel arguments must have equal dimension")
-        if self.kind == "linear":
-            return Z @ X.T
-        if self.kind == "poly2_homogeneous":
-            return (Z @ X.T) ** 2
-        if self.kind == "poly2_inhomogeneous":
-            return (Z @ X.T + self.c**2) ** 2
-        return np.exp(-cdist(Z, X, "sqeuclidean") / self.sigma**2)
+        return KERNEL_KINDS[self.kind](self, Z, X)
 
 
 def kernel_eval(kernel: Kernel, z, x) -> float:

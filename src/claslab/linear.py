@@ -174,7 +174,7 @@ def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
     descent, which runs out its ``max_iters``.  The 0-1 loss is rejected:
     minimizing it directly is intractable, use a surrogate.
     """
-    loss = get_loss(config.loss) if isinstance(config.loss, str) else config.loss
+    loss = get_loss(config.loss)
     if not loss.differentiable:
         raise ValueError(
             "cannot train on the 0-1 loss (NP-hard); pick a surrogate loss"

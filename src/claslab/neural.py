@@ -24,20 +24,16 @@ from .data import LabeledDataset
 from .exceptions import DivergenceError
 from .linear import TrainInfo
 
-HIDDEN_ACTIVATIONS = ("logistic_sigmoid", "relu")
-OUTPUT_ACTIVATIONS = ("identity", "logistic_sigmoid")
-
-
-def _act(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return expit(z)
-
-
-def _act_deriv(name, z, activated):
-    if name == "relu":
-        return (z > 0.0).astype(float)  # subgradient 0 at the kink
-    return activated * (1.0 - activated)
+# name -> (s(z), s'(z, s(z))); relu takes the subgradient 0 at the kink
+HIDDEN_ACTIVATIONS = {
+    "logistic_sigmoid": (expit, lambda z, a: a * (1.0 - a)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(float)),
+}
+# name -> (s_out(pre), s_out'(out), decision threshold, targets(labels))
+OUTPUT_ACTIVATIONS = {
+    "identity": (lambda pre: pre, lambda out: 1.0, 0.0, lambda y: y.astype(float)),
+    "logistic_sigmoid": (expit, lambda out: out * (1.0 - out), 0.5, lambda y: (y + 1.0) / 2.0),
+}
 
 
 @dataclass(frozen=True)
@@ -62,14 +58,16 @@ class OneHiddenLayerNet(DecisionFunction):
 
     @property
     def threshold(self) -> float:
-        return 0.5 if self.output_activation == "logistic_sigmoid" else 0.0
+        _, _, threshold, _ = OUTPUT_ACTIVATIONS[self.output_activation]
+        return threshold
 
     def _layers(self, X):
         """(hidden pre-activations, hidden activations, output) of an (n, d) batch."""
+        act, _ = HIDDEN_ACTIVATIONS[self.hidden_activation]
+        out_act, _, _, _ = OUTPUT_ACTIVATIONS[self.output_activation]
         z = X @ self.hidden_weights.T + self.hidden_biases
-        hidden = _act(self.hidden_activation, z)
-        pre = hidden @ self.output_weights + self.output_bias
-        return z, hidden, pre if self.output_activation == "identity" else expit(pre)
+        hidden = act(z)
+        return z, hidden, out_act(hidden @ self.output_weights + self.output_bias)
 
     def forward(self, X) -> np.ndarray:
         return self._layers(as_matrix(X, self.dim))[2]
@@ -103,24 +101,19 @@ class NetTrainConfig:
             raise ValueError("init_scale must be nonnegative")
 
 
-def _targets(labels, output_activation):
-    if output_activation == "logistic_sigmoid":
-        return (labels + 1.0) / 2.0
-    return labels.astype(float)
-
-
 def _objective_and_gradient(net: OneHiddenLayerNet, X, targets):
     """Mean squared loss and its exact gradient (dW, db, dv, dc) from one forward pass."""
     X = as_matrix(X, net.dim)
+    _, act_deriv = HIDDEN_ACTIVATIONS[net.hidden_activation]
+    _, out_deriv, _, _ = OUTPUT_ACTIVATIONS[net.output_activation]
     with np.errstate(over="ignore", invalid="ignore"):  # inf/nan is the divergence signal
         z, hidden, out = net._layers(X)
         obj = float(np.mean((out - targets) ** 2))
-        dout_dpre = 1.0 if net.output_activation == "identity" else out * (1.0 - out)
-        dpre = 2.0 * (out - targets) * dout_dpre / X.shape[0]
+        dpre = 2.0 * (out - targets) * out_deriv(out) / X.shape[0]
         dv = hidden.T @ dpre
         dc = float(dpre.sum())
         dhidden = np.outer(dpre, net.output_weights)
-        dz = dhidden * _act_deriv(net.hidden_activation, z, hidden)
+        dz = dhidden * act_deriv(z, hidden)
         dW = dz.T @ X
         db = dz.sum(axis=0)
     return obj, (dW, db, dv, dc)
@@ -145,9 +138,10 @@ def train_net(ds: LabeledDataset, config: NetTrainConfig) -> OneHiddenLayerNet:
     v = rng.uniform(-span, span, size=D)
     c = float(rng.uniform(-span, span))
     X = ds.features
-    targets = _targets(ds.labels, config.output_activation)
     activations = (config.hidden_activation, config.output_activation)
-    net = OneHiddenLayerNet(W, b, v, c, *activations)
+    net = OneHiddenLayerNet(W, b, v, c, *activations)  # validates the names
+    _, _, _, to_targets = OUTPUT_ACTIVATIONS[net.output_activation]
+    targets = to_targets(ds.labels)
     obj, grads = _objective_and_gradient(net, X, targets)
     best, best_obj = net, obj
     for it in range(config.max_iters):

@@ -126,7 +126,7 @@ def _grow(X, y, w, depth, max_depth, min_leaf_size):
     mask = X[:, feature] <= threshold
     left = _grow(X[mask], y[mask], w[mask], depth + 1, max_depth, min_leaf_size)
     right = _grow(X[~mask], y[~mask], w[~mask], depth + 1, max_depth, min_leaf_size)
-    return TreeNode(int(feature), float(threshold), label, left, right)
+    return TreeNode(int(feature), float(threshold), left=left, right=right)
 
 
 def fit_tree(

@@ -486,6 +486,64 @@ def test_out_of_range_width_or_offset_exits_2(workdir, capsys, case):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes these as NaN and Infinity
+
+# Each trainer gives a non-finite number or names an unknown kind: exit 2, naming the value.
+BAD_VALUE_CONFIGS = {
+    "lda_nan_ridge": ({"name": "lda", "params": {"ridge_cov": NAN}},
+                      "trainer 'lda' 'ridge_cov' must be a finite JSON number, got nan"),
+    "logistic_nan_lambda": ({"name": "logistic", "params": {"lambda": NAN}},
+                            "trainer 'logistic' 'lambda' must be a finite JSON number, got nan"),
+    "logistic_infinite_lambda": (
+        {"name": "logistic", "params": {"lambda": INF}},
+        "trainer 'logistic' 'lambda' must be a finite JSON number, got inf",
+    ),
+    "hinge_nan_step": (
+        {"name": "linear", "params": {"loss": "hinge", "step_size": NAN}},
+        "trainer 'linear' 'step_size' must be a finite JSON number, got nan",
+    ),
+    "least_squares_nan_lambda": (
+        {"name": "least_squares", "params": {"lambda": NAN}},
+        "trainer 'least_squares' 'lambda' must be a finite JSON number, got nan",
+    ),
+    "kernel_ridge_nan_lambda": (
+        {"name": "kernel_ridge", "params": {"lambda": NAN}},
+        "trainer 'kernel_ridge' 'lambda' must be a finite JSON number, got nan",
+    ),
+    "net_nan_learning_rate": (
+        {"name": "net", "params": {"learning_rate": NAN}},
+        "trainer 'net' 'learning_rate' must be a finite JSON number, got nan",
+    ),
+    "unknown_kernel": ({"name": "kernel_ridge", "params": {"kernel": "nope", "lambda": 0.1}},
+                       "unknown kernel 'nope'"),
+    "unknown_hidden_activation": ({"name": "net", "params": {"hidden_activation": "tanh"}},
+                                  "unknown hidden activation 'tanh'"),
+    "unknown_output_activation": ({"name": "net", "params": {"output_activation": "tanh"}},
+                                  "unknown output activation 'tanh'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUE_CONFIGS))
+def test_non_finite_number_or_unknown_kind_exits_2(workdir, capsys, case):
+    trainer, message = BAD_VALUE_CONFIGS[case]
+    assert run(workdir, "eval", {**small_config(workdir, "eval"), "trainer": trainer}) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_seed_and_out_flags_override_the_config(workdir):
+    cfg = {"problem": str(workdir / "problem.json"), "n": 30, "seed": 0,
+           "out": str(workdir / "config_out.csv")}
+    path = workdir / "gen.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    flagged = workdir / "flagged.csv"
+    assert main(["gen", "--config", str(path), "--seed", "7", "--out", str(flagged)]) == 0
+    assert not (workdir / "config_out.csv").exists()
+    assert run(workdir, "gen", {**cfg, "seed": 7, "out": str(workdir / "seeded.csv")}) == 0
+    assert flagged.read_bytes() == (workdir / "seeded.csv").read_bytes()
+    assert run(workdir, "gen", cfg) == 0
+    assert flagged.read_bytes() != (workdir / "config_out.csv").read_bytes()
+
+
 def test_memory_error_exits_3(workdir, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError

@@ -73,6 +73,22 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="row 3.*'x'"):
             load_csv(write(tmp_path, "x,label\n1.0,1\noops,-1\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("x,label\n1.0,1\n2.0\n", "row 3 has 1 cells, expected 2"),
+        ("x,label\n1.0,1,7\n", "row 2 has 3 cells, expected 2"),
+        ("x,label\n1.0,1\ninf,-1\n", "row 3, column 'x': non-finite value"),
+        ("label,y\n1,nan\n", "row 2, column 'y': non-finite value"),
+        ("x,label\n-Infinity,1\n", "row 2, column 'x': non-finite value"),
+        ("", "empty file"),
+        ("\n\n", "empty file"),
+        ("label\n1\n", "no feature columns"),
+    ])
+    def test_malformed_file_message(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_roundtrip(self, tmp_path):
         ds = LabeledDataset([[0.25, -1.75], [3.125, 9.5]], [1, -1], ("a", "b"))
         path = tmp_path / "out.csv"

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from claslab.data import LabeledDataset
 from claslab.evaluation import loo_cv
 from claslab.exceptions import NumericError
 from claslab.features import poly2_block
 from claslab.kernels import (
+    KERNEL_KINDS,
     DissimilarityMap,
     Kernel,
     KernelRidge,
@@ -92,6 +94,33 @@ def test_width_or_offset_whose_square_is_not_finite_or_positive_rejected(kwargs)
 
 def test_a_width_or_offset_that_the_kernel_does_not_use_is_not_checked():
     assert Kernel("linear", c=1e200, sigma=1e-200).matrix([[1.0]], [[2.0]])[0, 0] == 2.0
+
+
+def _reference_matrix(kernel, Z, X):
+    """The kind ladder as it stood before KERNEL_KINDS was a table."""
+    if kernel.kind == "linear":
+        return Z @ X.T
+    if kernel.kind == "poly2_homogeneous":
+        return (Z @ X.T) ** 2
+    if kernel.kind == "poly2_inhomogeneous":
+        return (Z @ X.T + kernel.c**2) ** 2
+    return np.exp(-cdist(Z, X, "sqeuclidean") / kernel.sigma**2)
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_KINDS))
+def test_kind_table_matches_the_reference_ladder_bit_for_bit(kind):
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        d, m, n = (int(k) for k in rng.integers(1, 7, size=3))
+        kernel = Kernel(kind, c=float(rng.uniform(0.1, 3.0)), sigma=float(rng.uniform(0.1, 3.0)))
+        Z, X = rng.normal(size=(m, d), scale=2.0), rng.normal(size=(n, d), scale=2.0)
+        K, ref = kernel.matrix(Z, X), _reference_matrix(kernel, Z, X)
+        assert K.dtype == ref.dtype and K.shape == ref.shape and K.tobytes() == ref.tobytes()
+
+
+def test_unknown_kernel_rejected():
+    with pytest.raises(ValueError, match="^unknown kernel 'nope'$"):
+        Kernel("nope")
 
 
 class TestGramMatrix:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from claslab.data import LabeledDataset
 from claslab.exceptions import DivergenceError
 from claslab.neural import (
+    HIDDEN_ACTIVATIONS,
+    OUTPUT_ACTIVATIONS,
     NetTrainConfig,
     OneHiddenLayerNet,
     net_forward,
@@ -227,3 +230,122 @@ class TestTrainNet:
         X = rng.normal(size=(200, 2), scale=2.0)
         pred_sorted = net.predict(X)[np.argsort(X @ w)]
         assert np.sum(np.diff(pred_sorted) != 0) <= 1
+
+
+# The activation branches as they stood before the tables in claslab.neural,
+# kept as the reference the tables must reproduce bit for bit.
+def _reference_act(name, z):
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    return expit(z)
+
+
+def _reference_act_deriv(name, z, activated):
+    if name == "relu":
+        return (z > 0.0).astype(float)
+    return activated * (1.0 - activated)
+
+
+def _reference_targets(labels, output_activation):
+    if output_activation == "logistic_sigmoid":
+        return (labels + 1.0) / 2.0
+    return labels.astype(float)
+
+
+def _reference_layers(net, X):
+    z = X @ net.hidden_weights.T + net.hidden_biases
+    hidden = _reference_act(net.hidden_activation, z)
+    pre = hidden @ net.output_weights + net.output_bias
+    return z, hidden, pre if net.output_activation == "identity" else expit(pre)
+
+
+def _reference_decision(net, X):
+    threshold = 0.5 if net.output_activation == "logistic_sigmoid" else 0.0
+    return _reference_layers(net, X)[2] - threshold
+
+
+def _reference_objective_and_gradient(net, X, targets):
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, hidden, out = _reference_layers(net, X)
+        obj = float(np.mean((out - targets) ** 2))
+        dout_dpre = 1.0 if net.output_activation == "identity" else out * (1.0 - out)
+        dpre = 2.0 * (out - targets) * dout_dpre / X.shape[0]
+        dv = hidden.T @ dpre
+        dc = float(dpre.sum())
+        dhidden = np.outer(dpre, net.output_weights)
+        dz = dhidden * _reference_act_deriv(net.hidden_activation, z, hidden)
+        dW = dz.T @ X
+        db = dz.sum(axis=0)
+    return obj, (dW, db, dv, dc)
+
+
+def _reference_train_net(ds, config):
+    """(best net, best objective) of the training loop, on the reference branches."""
+    rng = np.random.default_rng(config.seed)
+    d, D = ds.dim, config.hidden_units
+    span = config.init_scale
+    W = rng.uniform(-span, span, size=(D, d))
+    b = rng.uniform(-span, span, size=D)
+    v = rng.uniform(-span, span, size=D)
+    c = float(rng.uniform(-span, span))
+    targets = _reference_targets(ds.labels, config.output_activation)
+    activations = (config.hidden_activation, config.output_activation)
+    net = OneHiddenLayerNet(W, b, v, c, *activations)
+    obj, grads = _reference_objective_and_gradient(net, ds.features, targets)
+    best, best_obj = net, obj
+    for _ in range(config.max_iters):
+        params = (net.hidden_weights, net.hidden_biases, net.output_weights, net.output_bias)
+        net = OneHiddenLayerNet(
+            *(p - config.learning_rate * g for p, g in zip(params, grads)), *activations
+        )
+        obj, grads = _reference_objective_and_gradient(net, ds.features, targets)
+        if obj < best_obj:
+            best, best_obj = net, obj
+    return best, best_obj
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("hidden", list(HIDDEN_ACTIVATIONS))
+@pytest.mark.parametrize("out", list(OUTPUT_ACTIVATIONS))
+def test_activation_tables_match_the_reference_branches_bit_for_bit(hidden, out):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        d, D, n = (int(k) for k in rng.integers(1, 6, size=3))
+        net = random_net(rng, d=d, D=D, hidden=hidden, out=out)
+        X = rng.normal(size=(n, d), scale=2.0)
+        ref_z, ref_hidden, ref_out = _reference_layers(net, X)
+        z, hidden_layer, output = net._layers(X)
+        assert same_bits(z, ref_z) and same_bits(hidden_layer, ref_hidden)
+        assert same_bits(output, ref_out) and same_bits(net.forward(X), ref_out)
+        assert same_bits(net.decision_function(X), _reference_decision(net, X))
+        targets = _reference_targets(rng.choice([-1, 1], size=n), out)
+        ref_obj, ref_grads = _reference_objective_and_gradient(net, X, targets)
+        assert net_objective(net, X, targets) == ref_obj
+        for g, ref_g in zip(net_gradient(net, X, targets), ref_grads):
+            assert same_bits(g, ref_g)
+    problem = equal_cov_problem(0.5, [1.0, -0.5], [-1.0, 0.5])
+    for seed in range(3):
+        ds = sample(problem, 40, seed=seed)
+        cfg = NetTrainConfig(
+            hidden_units=3, learning_rate=0.2, max_iters=30, seed=seed,
+            hidden_activation=hidden, output_activation=out,
+        )
+        trained = train_net(ds, cfg)
+        ref_net, ref_obj = _reference_train_net(ds, cfg)
+        assert trained.info.objective == ref_obj
+        assert same_bits(flatten_params(trained), flatten_params(ref_net))
+
+
+@pytest.mark.parametrize("field, message", [
+    ("hidden_activation", "unknown hidden activation 'tanh'"),
+    ("output_activation", "unknown output activation 'tanh'"),
+])
+def test_unknown_activation_rejected_by_the_net_and_by_training(field, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OneHiddenLayerNet(np.zeros((1, 1)), np.zeros(1), np.zeros(1), 0.0, **{field: "tanh"})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_net(XOR, NetTrainConfig(max_iters=1, **{field: "tanh"}))

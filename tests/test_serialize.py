@@ -62,6 +62,12 @@ def test_golden_model_reloads_with_identical_scores(name):
     np.testing.assert_array_equal(np.asarray(scores, dtype=float), expected)
 
 
+@pytest.mark.parametrize("name", ["tree", "bagging", "subspace", "boost"])
+def test_tree_model_equals_its_reload(name):
+    model = fitted_models()[name]
+    assert model_from_dict(model_to_dict(model)) == model
+
+
 def test_file_roundtrip_is_exact(tmp_path):
     model = cl.train_least_squares(DS, 0.1)
     path = tmp_path / "model.json"
