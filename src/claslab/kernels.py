@@ -27,7 +27,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .base import DecisionFunction, as_matrix, point_or_batch
-from .data import LabeledDataset
+from .data import LABEL_STRINGS, LabeledDataset
 from .exceptions import NumericError
 
 KERNEL_KINDS = {
@@ -240,8 +240,6 @@ def load_dissimilarity_csv(matrix_path, labels_path) -> LabeledDataset:
     matrix = np.loadtxt(matrix_path, delimiter=",", ndmin=2)
     with open(labels_path, encoding="utf-8") as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
-    from .data import LABEL_STRINGS
-
     try:
         labels = [LABEL_STRINGS[r] for r in raw]
     except KeyError as exc:

@@ -1,9 +1,10 @@
 """Margin-based loss functions with values and (sub)gradients.
 
-Every loss here depends on score a and label b only through the margin
-m = b*a.  The six surrogate kinds are convex upper bounds of the 0-1
-loss; at their kinks (hinge and absolute at m = 1) the reported
-subgradient is 0, so a zero gradient at the optimum stays meaningful.
+The six surrogates depend on score a and label b only through the margin
+m = b*a (the 0-1 loss does not: value(0, +1) = 0 but value(0, -1) = 1).
+They are convex upper bounds of the 0-1 loss; at their kinks (hinge and
+absolute at m = 1) the reported subgradient is 0, so a zero gradient at
+the optimum stays meaningful.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import numpy as np
 from .base import sign_labels
 
 LN2 = float(np.log(2.0))
-
-
-def _zero_one(a, b):
-    return np.where(sign_labels(a) != b, 1.0, 0.0)
 
 
 def _logistic(m):
@@ -37,44 +34,32 @@ def _logistic_curvature(m):
     return e / (1.0 + e) ** 2 / LN2
 
 
-_VALUES = {
-    "logistic": _logistic,
-    "hinge": lambda m: np.maximum(1.0 - m, 0.0),
-    "squared": lambda m: (1.0 - m) ** 2,
-    "exponential": lambda m: np.exp(-m),
-    "truncated_squared": lambda m: np.maximum(1.0 - m, 0.0) ** 2,
-    "absolute": lambda m: np.abs(1.0 - m),
+# name -> (loss(m), loss'(m), loss''(m) or None, positive).  loss'' feeds
+# Newton; truncated_squared gets the generalized Hessian 2[m < 1] (Keerthi
+# & DeCoste 2005).  A positive loss is above 0 at every margin, so on
+# separated data its unpenalized risk keeps falling and has no minimizer.
+MARGIN_LOSSES = {
+    "logistic": (_logistic, _logistic_grad, _logistic_curvature, True),
+    "hinge": (
+        lambda m: np.maximum(1.0 - m, 0.0), lambda m: np.where(m < 1.0, -1.0, 0.0), None, False
+    ),
+    "squared": (
+        lambda m: (1.0 - m) ** 2, lambda m: -2.0 * (1.0 - m), lambda m: np.full_like(m, 2.0), False
+    ),
+    "exponential": (lambda m: np.exp(-m), lambda m: -np.exp(-m), lambda m: np.exp(-m), True),
+    "truncated_squared": (
+        lambda m: np.maximum(1.0 - m, 0.0) ** 2, lambda m: -2.0 * np.maximum(1.0 - m, 0.0),
+        lambda m: np.where(m < 1.0, 2.0, 0.0), False
+    ),
+    "absolute": (lambda m: np.abs(1.0 - m), lambda m: -np.sign(1.0 - m), None, False),
 }
 
-_MARGIN_GRADS = {
-    "logistic": _logistic_grad,
-    "hinge": lambda m: np.where(m < 1.0, -1.0, 0.0),
-    "squared": lambda m: -2.0 * (1.0 - m),
-    "exponential": lambda m: -np.exp(-m),
-    "truncated_squared": lambda m: -2.0 * np.maximum(1.0 - m, 0.0),
-    "absolute": lambda m: -np.sign(1.0 - m),
-}
-
-# Second derivatives in the margin, for Newton; truncated_squared gets
-# the generalized Hessian 2[m < 1] (Keerthi & DeCoste 2005).  Hinge and
-# absolute have none and are left to gradient descent.
-_MARGIN_CURVATURES = {
-    "logistic": _logistic_curvature,
-    "squared": lambda m: np.full_like(m, 2.0),
-    "exponential": lambda m: np.exp(-m),
-    "truncated_squared": lambda m: np.where(m < 1.0, 2.0, 0.0),
-}
-
-# Losses above 0 at every margin: on separated data their unpenalized
-# risk keeps falling along the separating direction and has no minimizer.
-_POSITIVE = ("logistic", "exponential")
-
-LOSS_NAMES = ("zero_one",) + tuple(_VALUES)
+LOSS_NAMES = ("zero_one",) + tuple(MARGIN_LOSSES)
 
 
 @dataclass(frozen=True)
 class Loss:
-    """A named margin loss; ``value`` and ``grad`` broadcast over arrays."""
+    """A named margin loss; ``value``, ``grad`` and ``curvature`` broadcast over arrays."""
 
     kind: str
 
@@ -85,38 +70,47 @@ class Loss:
             )
 
     @property
+    def _row(self) -> tuple:
+        return MARGIN_LOSSES.get(self.kind, (None, None, None, False))
+
+    @property
     def differentiable(self) -> bool:
-        return self.kind != "zero_one"
+        return self._row[1] is not None
 
     @property
     def smooth(self) -> bool:
-        return self.kind in _MARGIN_CURVATURES
+        return self._row[2] is not None
 
     @property
     def positive(self) -> bool:
-        return self.kind in _POSITIVE
+        return self._row[3]
 
     def value(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b)
         if self.kind == "zero_one":
-            out = _zero_one(a, b)
+            out = np.where(sign_labels(a) != b, 1.0, 0.0)
         else:
-            out = _VALUES[self.kind](b * a)
+            out = self._row[0](b * a)
         return out if out.ndim else float(out)
 
     def grad(self, a, b):
         """Derivative with respect to the score a (subgradient 0 at kinks)."""
-        if self.kind == "zero_one":
+        if not self.differentiable:
             raise ValueError("the 0-1 loss has no usable gradient")
         a = np.asarray(a, dtype=float)
         b = np.asarray(b)
-        out = b * _MARGIN_GRADS[self.kind](b * a)
+        out = b * self._row[1](b * a)
         return out if out.ndim else float(out)
 
     def curvature(self, a, b):
         """Second derivative with respect to the score a, for smooth losses."""
-        return b * b * _MARGIN_CURVATURES[self.kind](b * np.asarray(a, dtype=float))
+        if not self.smooth:
+            raise ValueError(f"the {self.kind} loss has no curvature")
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b)
+        out = b * b * self._row[2](b * a)
+        return out if out.ndim else float(out)
 
 
 def get_loss(name: str) -> Loss:

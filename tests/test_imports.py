@@ -1,9 +1,10 @@
 """Source hygiene: no module in the package imports a name it never uses,
-no module-level name is assigned that no module of the package reads, and
-the package defines no function, class or method that no source of the
-repo reads."""
+no module-level name is assigned that no module of the package reads, the
+package defines no function, class or method that no source of the repo
+reads, and no module keeps two tables keyed by the same names."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
@@ -152,3 +153,32 @@ def test_the_scan_sees_a_dead_method():
 
 def test_no_dead_methods():
     assert unread(package_sources(), reader_sources(), methods) == []
+
+
+def parallel_tables(source: str) -> list:
+    """Pairs of module-level dict literals in ``source`` that share two or
+    more string keys: one table with a row per name says the same once."""
+    tables = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            keys = [k.value for k in node.value.keys if isinstance(k, ast.Constant)]
+            keys = {k for k in keys if isinstance(k, str)}
+            tables.update({t.id: keys for t in targets if isinstance(t, ast.Name)})
+    return [
+        f"{a}/{b}" for a, b in itertools.combinations(tables, 2) if len(tables[a] & tables[b]) > 1
+    ]
+
+
+def test_the_scan_sees_parallel_tables():
+    source = (
+        "A = {'x': 1, 'y': 2, 'z': 3}\nB = {'x': 4, 'y': 5}\nC: dict = {'y': 6, 'z': 7}\n"
+        "D = {'x': 8, 1: 9, 2: 0}\nE = {1: 0, 2: 0}\nF = dict(x=1, y=2)\n"
+        "def f():\n    G = {'x': 1, 'y': 2}\n"
+    )
+    assert parallel_tables(source) == ["A/B", "A/C"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_parallel_tables(path):
+    assert parallel_tables(path.read_text(encoding="utf-8")) == []
