@@ -34,7 +34,7 @@ from .linear import TrainConfig, train_least_squares, train_linear, train_logist
 from .neighbors import fit_knn
 from .neural import NetTrainConfig, train_net
 from .oracle import BayesClassifier, load_problem, sample
-from .serialize import save_model
+from .serialize import save_model, write_json
 from .trees import fit_tree
 
 _USAGE_ERRORS = (
@@ -118,8 +118,8 @@ def _net(p, seed, problem):
 def _bayes(p, seed, problem):
     if problem is None:
         raise ValueError("trainer 'bayes' needs a problem, not a dataset")
-    oracle = BayesClassifier(problem)
-    return lambda ds: oracle
+    # appended noise columns are N(0, 1) in both classes: the padded problem's rule
+    return lambda ds: BayesClassifier(evaluation.adapt_problem_dim(problem, ds.dim))
 
 
 _GD = {"lambda": (float, 0.0), "max_iters": (int, 1000), "step_size": (float, 1.0),
@@ -263,12 +263,6 @@ def _estimator(cfg):
     return lambda trainer, ds: run(trainer, ds, child_seed(cfg["seed"], _EST), **params)
 
 
-def _write_json(obj, path: Path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_gen(cfg) -> int:
     problem = load_problem(_get(cfg, "problem", str))
     n = _get(cfg, "n", int)
@@ -299,7 +293,7 @@ def cmd_train(cfg) -> int:
         "termination": None if info is None else info.termination,
     }
     report_path = out.parent / (out.stem + ".report.json")
-    _write_json(report, report_path)
+    write_json(report, report_path)
     print(f"wrote {out} and {report_path}")
     return 0
 
@@ -316,7 +310,7 @@ def cmd_eval(cfg) -> int:
         "std": est.std,
         "components": est.components,
     }
-    _write_json(payload, out)
+    write_json(payload, out)
     print(f"wrote {out} (value={est.value})")
     return 0
 

@@ -9,7 +9,7 @@ two runs with the same seed produce identical partitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,13 +109,15 @@ class FoldAssignment:
     k: int
 
     def __post_init__(self):
-        idx = np.asarray(self.fold_index, dtype=int)
+        if self.k < 2:
+            raise ValueError("k must be at least 2")
+        idx = np.array(self.fold_index, dtype=int)
+        if np.any((idx < 0) | (idx >= self.k)):
+            raise ValueError(f"fold indices must lie in [0, {self.k})")
         idx.setflags(write=False)
         object.__setattr__(self, "fold_index", idx)
         counts = np.bincount(idx, minlength=self.k)
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
-        if counts.size > self.k or np.any(counts == 0):
+        if np.any(counts == 0):
             raise ValueError("every fold must be nonempty")
         if counts.max() - counts.min() > 1:
             raise ValueError("fold sizes may differ by at most 1")
@@ -129,19 +131,19 @@ class FoldAssignment:
 
 @dataclass(frozen=True, eq=False)
 class BootstrapSample:
-    """N indices drawn with replacement plus the sorted out-of-bag set."""
+    """N indices into N rows, drawn with replacement."""
 
     indices: np.ndarray
-    out_of_bag: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        n = idx.shape[0]
-        oob = np.setdiff1d(np.arange(n), idx)
+        idx = np.array(self.indices, dtype=int)
         idx.setflags(write=False)
-        oob.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "out_of_bag", oob)
+
+    @property
+    def out_of_bag(self) -> np.ndarray:
+        """The sorted rows that no index draws."""
+        return np.flatnonzero(np.bincount(self.indices, minlength=self.indices.size) == 0)
 
 
 def load_csv(path) -> LabeledDataset:
@@ -209,6 +211,16 @@ def save_csv(ds: LabeledDataset, path) -> None:
             fh.write(f",{int(lab)}\n")
 
 
+def _shuffled_groups(ds: LabeledDataset, stratified: bool, seed: int) -> list:
+    """Each class's rows, or all rows, in the seed's random order: the one
+    draw that holdout splits and folds deal from."""
+    groups = [np.arange(ds.n)]
+    if stratified:
+        groups = [np.flatnonzero(ds.labels == lab) for lab in (1, -1)]
+    rng = np.random.default_rng(seed)
+    return [members[rng.permutation(members.size)] for members in groups]
+
+
 def _class_test_quota(n_pos: int, n_neg: int, n_test: int, fraction: float):
     # Largest-remainder apportionment keeps each class within 1 of its
     # exact share n_c * fraction.
@@ -246,23 +258,12 @@ def _holdout_rows(ds: LabeledDataset, test_fraction: float, stratified: bool, se
         raise ValueError(
             f"test_fraction={test_fraction} leaves an empty side for N={n}"
         )
-    rng = np.random.default_rng(seed)
+    quotas = [n_test]
     if stratified:
-        quota_pos, quota_neg = _class_test_quota(
-            ds.n_pos, ds.n_neg, n_test, test_fraction
-        )
-        test_idx = []
-        for label, quota in ((1, quota_pos), (-1, quota_neg)):
-            members = np.flatnonzero(ds.labels == label)
-            perm = rng.permutation(members.size)
-            test_idx.append(members[perm[:quota]])
-        test_idx = np.sort(np.concatenate(test_idx))
-    else:
-        perm = rng.permutation(n)
-        test_idx = np.sort(perm[:n_test])
-    mask = np.zeros(n, dtype=bool)
-    mask[test_idx] = True
-    return np.flatnonzero(~mask), test_idx
+        quotas = _class_test_quota(ds.n_pos, ds.n_neg, n_test, test_fraction)
+    groups = _shuffled_groups(ds, stratified, seed)
+    test_idx = np.sort(np.concatenate([rows[:quota] for rows, quota in zip(groups, quotas)]))
+    return np.flatnonzero(np.bincount(test_idx, minlength=n) == 0), test_idx
 
 
 def make_folds(
@@ -277,22 +278,16 @@ def make_folds(
     n = ds.n
     if k < 2 or k > n:
         raise ValueError(f"k must satisfy 2 <= k <= N (got k={k}, N={n})")
-    rng = np.random.default_rng(seed)
     fold_index = np.empty(n, dtype=int)
     counter = 0
-    if stratified:
-        groups = [np.flatnonzero(ds.labels == lab) for lab in (1, -1)]
-    else:
-        groups = [np.arange(n)]
-    for members in groups:
-        perm = rng.permutation(members.size)
-        fold_index[members[perm]] = (counter + np.arange(members.size)) % k
-        counter += members.size
+    for rows in _shuffled_groups(ds, stratified, seed):
+        fold_index[rows] = (counter + np.arange(rows.size)) % k
+        counter += rows.size
     return FoldAssignment(fold_index, k)
 
 
 def bootstrap_sample(ds: LabeledDataset, seed: int = 0) -> BootstrapSample:
-    """Draw N indices with replacement; out-of-bag indices come along."""
+    """Draw N row indices with replacement."""
     rng = np.random.default_rng(seed)
     indices = rng.integers(0, ds.n, size=ds.n)
     return BootstrapSample(indices)

@@ -69,38 +69,35 @@ def holdout_error(
 ) -> ErrorEstimate:
     """Train on one split side, count mistakes on the held-out side."""
     train, test = _holdout_rows(ds, test_fraction, stratified, seed)
-    [[mistakes]] = _mistakes(trainer, ds, [(train, test)])
-    value = mistakes / test.size
+    value = int(np.sum(_mistakes(trainer, ds, train, test))) / test.size
     return ErrorEstimate(
         value, "holdout", error_std(value, test.size), {"n_test": test.size}
     )
 
 
-def _mistakes(trainer, ds: LabeledDataset, splits):
-    """Refit once per split; count its mistakes on each of its test row sets.
+def _mistakes(trainer, ds: LabeledDataset, train, test) -> np.ndarray:
+    """Refit on the train rows; the mistake mask of the test rows.
 
-    A split is (train rows, test rows, ...), each an index array into
-    ``ds`` or ``slice(None)`` for every row; yields one list of mistake
-    counts per split.  This is the one place an estimator refits.  A fit
-    that fails on its rows (``FitError``, ``NumericError``,
-    ``DivergenceError``) aborts the estimate with an ``EstimationError``
-    naming the held-out rows; a ``ValueError`` -- a bad parameter --
-    passes through unchanged.
+    The rows are index arrays into ``ds``, or ``slice(None)`` for every
+    row; each estimator reduces the masks.  This is the one place an
+    estimator refits.  A fit that fails on its rows (``FitError``,
+    ``NumericError``, ``DivergenceError``) aborts the estimate with an
+    ``EstimationError`` naming the held-out rows; a ``ValueError`` -- a
+    bad parameter -- passes through unchanged.
     """
-    for train, *tests in splits:
-        try:
-            model = trainer(ds.subset(train))
-        except (FitError, NumericError, DivergenceError) as exc:
-            held_out = ", ".join(map(str, np.setdiff1d(np.arange(ds.n), train)))
-            raise EstimationError(
-                f"trainer failed with held-out rows (index {held_out}): {exc}"
-            ) from exc
-        yield [int(np.sum(model.predict(ds.features[t]) != ds.labels[t])) for t in tests]
+    try:
+        model = trainer(ds.subset(train))
+    except (FitError, NumericError, DivergenceError) as exc:
+        held_out = ", ".join(map(str, np.setdiff1d(np.arange(ds.n), train)))
+        raise EstimationError(
+            f"trainer failed with held-out rows (index {held_out}): {exc}"
+        ) from exc
+    return model.predict(ds.features[test]) != ds.labels[test]
 
 
 def _cross_validate(trainer, ds: LabeledDataset, folds, method: str) -> ErrorEstimate:
     splits = ((folds.train_indices(f), folds.test_indices(f)) for f in range(folds.k))
-    value = sum(m for (m,) in _mistakes(trainer, ds, splits)) / ds.n
+    value = sum(int(np.sum(_mistakes(trainer, ds, *split))) for split in splits) / ds.n
     return ErrorEstimate(value, method, error_std(value, ds.n))
 
 
@@ -148,9 +145,12 @@ def bootstrap_corrected(
     if m_rounds < 1:
         raise ValueError("m_rounds must be at least 1")
     apparent = zero_one_error(trainer(ds), ds)
-    boots = (bootstrap_sample(ds, child_seed(seed, r)) for r in range(m_rounds))
-    rounds = _mistakes(trainer, ds, ((bs.indices, bs.indices, slice(None)) for bs in boots))
-    bias = float(np.mean([a / ds.n - t / ds.n for a, t in rounds]))
+    diffs = []
+    for r in range(m_rounds):
+        drawn = bootstrap_sample(ds, child_seed(seed, r)).indices
+        mask = _mistakes(trainer, ds, drawn, slice(None))
+        diffs.append(int(np.sum(mask[drawn])) / ds.n - int(np.sum(mask)) / ds.n)
+    bias = float(np.mean(diffs))
     raw = apparent - bias
     value = min(1.0, max(0.0, raw))
     return ErrorEstimate(
@@ -170,20 +170,17 @@ def e632(trainer, ds: LabeledDataset, m_rounds: int, seed: int = 0) -> ErrorEsti
     if m_rounds < 1:
         raise ValueError("m_rounds must be at least 1")
     apparent = zero_one_error(trainer(ds), ds)
-    oob_sizes = []
-
-    def splits():  # drawn one round at a time, so memory does not grow with m_rounds
-        for r in range(m_rounds):
-            bs = _retry(
-                lambda attempt: bootstrap_sample(ds, child_seed(seed, r, attempt)),
-                lambda drawn: drawn.out_of_bag.size > 0,
-                f"no out-of-bag row in bootstrap round {r}",
-            )
-            oob_sizes.append(bs.out_of_bag.size)
-            yield bs.indices, bs.out_of_bag
-
-    oob_mistakes = sum(m for (m,) in _mistakes(trainer, ds, splits()))
-    oob_error = oob_mistakes / sum(oob_sizes)
+    mistakes = tested = 0
+    for r in range(m_rounds):
+        bs = _retry(
+            lambda attempt: bootstrap_sample(ds, child_seed(seed, r, attempt)),
+            lambda drawn: drawn.out_of_bag.size > 0,
+            f"no out-of-bag row in bootstrap round {r}",
+        )
+        mask = _mistakes(trainer, ds, bs.indices, bs.out_of_bag)
+        mistakes += int(np.sum(mask))
+        tested += mask.size
+    oob_error = mistakes / tested
     value = e632_combine(apparent, oob_error)
     return ErrorEstimate(
         value,

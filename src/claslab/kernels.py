@@ -166,7 +166,7 @@ class DissimilarityMap:
     measure: object = None  # None means built-in Euclidean distance
 
     def __post_init__(self):
-        protos = np.atleast_2d(np.asarray(self.prototypes, dtype=float))
+        protos = np.atleast_2d(np.array(self.prototypes, dtype=float))
         if protos.shape[0] < 1:
             raise ValueError("need at least one prototype")
         protos.setflags(write=False)

@@ -59,7 +59,7 @@ class LinearHypothesis(DecisionFunction):
     info: TrainInfo | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weight, dtype=float))
+        w = np.atleast_1d(np.array(self.weight, dtype=float))
         w.setflags(write=False)
         object.__setattr__(self, "weight", w)
 

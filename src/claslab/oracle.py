@@ -49,8 +49,8 @@ class GaussianMixtureProblem:
     def __post_init__(self):
         if not 0.0 <= self.prior_pos <= 1.0:
             raise ValueError("prior_pos must lie in [0, 1]")
-        mp = np.atleast_1d(np.asarray(self.mean_pos, dtype=float))
-        mn = np.atleast_1d(np.asarray(self.mean_neg, dtype=float))
+        mp = np.atleast_1d(np.array(self.mean_pos, dtype=float))
+        mn = np.atleast_1d(np.array(self.mean_neg, dtype=float))
         if mp.shape != mn.shape or mp.ndim != 1:
             raise ValueError("means must be vectors of equal dimension")
         d = mp.shape[0]

@@ -137,10 +137,15 @@ def model_from_dict(obj: dict):
     return _from_fields(KINDS[kind], obj)
 
 
-def save_model(model, path) -> None:
+def write_json(obj, path) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_model(model, path) -> None:
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path):

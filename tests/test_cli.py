@@ -12,11 +12,19 @@ from claslab.cli import CURVES, ESTIMATORS, REQUIRED, TRAINERS, main
 from claslab.data import load_csv
 from claslab.evaluation import apparent_error
 from claslab.features import TRANSFORMS
-from claslab.oracle import equal_cov_problem, problem_to_json, sample
+from claslab.oracle import bayes_error, equal_cov_problem, problem_to_json, sample
 from claslab.serialize import load_model
 
 PROBLEM = problem_to_json(equal_cov_problem(0.5, [1.0], [-1.0]))
 PROBLEM_2D = problem_to_json(equal_cov_problem(0.5, [1.0, 0.5], [-1.0, -0.5]))
+# only dimension 0 tells the classes apart, so every width has PROBLEM's floor
+PROBLEM_DIM0 = problem_to_json(equal_cov_problem(0.5, [1.0, 0.0], [-1.0, 0.0]))
+FLOOR = bayes_error(equal_cov_problem(0.5, [1.0], [-1.0]), "closed_form_1d")
+
+
+def near_floor(error, n_trials):
+    """``error`` lies within 4 Monte-Carlo sigma of FLOOR."""
+    return abs(error - FLOOR) <= 4 * np.sqrt(FLOOR * (1 - FLOOR) / n_trials)
 
 
 @pytest.fixture
@@ -256,6 +264,22 @@ class TestCurve:
         text = (workdir / "feat.csv").read_text()
         assert "# estimate=cv" in text
 
+    def test_feature_curve_of_the_oracle_follows_the_width(self, workdir):
+        (workdir / "dim0.json").write_text(json.dumps(PROBLEM_DIM0), encoding="utf-8")
+        cfg = {
+            "problem": str(workdir / "dim0.json"),
+            "trainer": {"name": "bayes"},
+            "curve": {"kind": "feature", "dims": [1, 2, 3], "repeats": 2, "n_train": 10,
+                      "n_test_mc": 5000},
+            "seed": 40,
+            "out": str(workdir / "oracle.csv"),
+        }
+        assert run(workdir, "curve", cfg) == 0
+        lines = (workdir / "oracle.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")][1:]
+        assert [int(r[1]) for r in rows] == [1, 2, 3]
+        assert all(near_floor(float(r[2]), 2 * 5000) for r in rows)
+
     def test_rerun_is_byte_identical(self, workdir):
         cfg = {
             "problem": str(workdir / "problem.json"),
@@ -295,6 +319,21 @@ class TestBench:
         noise = 3 * max(stds.values())
         assert values["bayes"] <= min(values.values()) + noise
         assert all(r[2] == "200" for r in rows)
+
+    def test_oracle_row_under_appended_noise(self, workdir):
+        cfg = {
+            "problem": str(workdir / "problem.json"),
+            "n": 1000,
+            "seed": 41,
+            "transform": "noise:2",
+            "trainers": [{"name": "lda"}, {"name": "bayes"}],
+            "estimator": {"method": "kfold", "k": 2},
+            "out": str(workdir / "noisy.csv"),
+        }
+        assert run(workdir, "bench", cfg) == 0
+        rows = [ln.split(",") for ln in (workdir / "noisy.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["lda", "bayes"]
+        assert near_floor(float(rows[1][3]), 1000)
 
     def test_empty_trainer_list_exits_2(self, workdir):
         cfg = {

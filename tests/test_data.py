@@ -5,7 +5,9 @@ import pytest
 
 from claslab.data import (
     BootstrapSample,
+    FoldAssignment,
     LabeledDataset,
+    _holdout_rows,
     bootstrap_sample,
     child_seed,
     load_csv,
@@ -14,6 +16,9 @@ from claslab.data import (
     split_holdout,
 )
 from claslab.exceptions import DataFormatError
+from claslab.kernels import DissimilarityMap
+from claslab.linear import LinearHypothesis
+from claslab.oracle import GaussianMixtureProblem
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -149,6 +154,62 @@ class TestSplitHoldout:
         assert self.ds == before
 
 
+def reference_holdout_rows(ds, test_fraction, stratified, seed):
+    """The two-branch draw ``_holdout_rows`` had before it dealt from row
+    groups in one loop, kept as the reference it must reproduce exactly."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must lie strictly between 0 and 1")
+    n = ds.n
+    n_test = int(np.floor(n * test_fraction + 0.5))
+    if n_test < 1 or n - n_test < 1:
+        raise ValueError(
+            f"test_fraction={test_fraction} leaves an empty side for N={n}"
+        )
+    rng = np.random.default_rng(seed)
+    if stratified:
+        quotas = np.array([ds.n_pos * test_fraction, ds.n_neg * test_fraction])
+        base = np.floor(quotas).astype(int)
+        order = np.argsort(-(quotas - base))
+        for i in range(n_test - int(base.sum())):
+            base[order[i % 2]] += 1
+        test_idx = []
+        for label, quota in ((1, base[0]), (-1, base[1])):
+            members = np.flatnonzero(ds.labels == label)
+            perm = rng.permutation(members.size)
+            test_idx.append(members[perm[:quota]])
+        test_idx = np.sort(np.concatenate(test_idx))
+    else:
+        perm = rng.permutation(n)
+        test_idx = np.sort(perm[:n_test])
+    mask = np.zeros(n, dtype=bool)
+    mask[test_idx] = True
+    return np.flatnonzero(~mask), test_idx
+
+
+def outcome(draw, *args):
+    """A draw's (train, test) rows, or its error's type and message."""
+    try:
+        return draw(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", range(240))
+def test_holdout_rows_equal_the_two_branch_draw(case):
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(1, 40))
+    labels = rng.choice([-1, 1], size=n, p=[0.5, 0.5] if case % 4 else [0.9, 0.1])
+    ds = LabeledDataset(np.zeros((n, 1)), labels)
+    fraction = [0.0, 1.0, 0.5, 1e-3][case % 8] if case % 8 < 4 else float(rng.uniform())
+    args = (ds, fraction, bool(case % 2), int(rng.integers(2**32)))
+    got, want = outcome(_holdout_rows, *args), outcome(reference_holdout_rows, *args)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 class TestMakeFolds:
     def setup_method(self):
         self.ds = LabeledDataset(
@@ -191,6 +252,21 @@ class TestMakeFolds:
         np.testing.assert_array_equal(a.fold_index, b.fold_index)
 
 
+class TestFoldAssignment:
+    def test_k_is_checked_first(self):
+        with pytest.raises(ValueError, match="k must be at least 2"):
+            FoldAssignment([0, 5, -1], 1)
+
+    @pytest.mark.parametrize("fold_index", [[0, 1, 2], [0, -1], [1, 0, 2, 1]])
+    def test_an_index_outside_the_folds_names_the_range(self, fold_index):
+        with pytest.raises(ValueError, match=r"fold indices must lie in \[0, 2\)"):
+            FoldAssignment(fold_index, 2)
+
+    def test_an_empty_fold(self):
+        with pytest.raises(ValueError, match="every fold must be nonempty"):
+            FoldAssignment([0, 0, 2], 3)
+
+
 class TestBootstrap:
     def test_single_point(self):
         ds = LabeledDataset([[1.0]], [1])
@@ -215,6 +291,18 @@ class TestBootstrap:
         ]
         assert 0.36 < np.mean(fractions) < 0.38
 
+    def test_out_of_bag_is_the_set_difference(self):
+        rng = np.random.default_rng(0)
+        for n in [1, 1, 2, 3, *rng.integers(1, 300, size=40).tolist()]:
+            idx = rng.integers(0, n, size=n)
+            oob = BootstrapSample(idx).out_of_bag
+            want = np.setdiff1d(np.arange(n), idx)
+            assert oob.dtype == want.dtype and np.array_equal(oob, want)
+
+    def test_out_of_bag_is_no_constructor_argument(self):
+        with pytest.raises(TypeError):
+            BootstrapSample([0, 0], out_of_bag=[1])
+
     def test_deterministic(self):
         ds = LabeledDataset(np.arange(12.0).reshape(12, 1), [1] * 12)
         np.testing.assert_array_equal(
@@ -226,3 +314,20 @@ def test_child_seed_is_stable_and_distinct():
     assert child_seed(42, 1) == child_seed(42, 1)
     assert child_seed(42, 1) != child_seed(42, 2)
     assert child_seed(42, 1, 2) != child_seed(42, 2, 1)
+
+
+@pytest.mark.parametrize("build, stored, caller", [
+    (lambda a: GaussianMixtureProblem(0.5, a, [0.0], [[1.0]], [[1.0]]), "mean_pos", [1.0]),
+    (lambda a: GaussianMixtureProblem(0.5, [0.0], a, [[1.0]], [[1.0]]), "mean_neg", [1.0]),
+    (lambda a: LinearHypothesis(a, 0.0), "weight", [1.0, 0.0]),
+    (lambda a: FoldAssignment(a, 2), "fold_index", [1, 0]),
+    (lambda a: BootstrapSample(a), "indices", [1, 0]),
+    (lambda a: DissimilarityMap(a), "prototypes", [[1.0, 0.0]]),
+], ids=["mean_pos", "mean_neg", "weight", "fold_index", "indices", "prototypes"])
+def test_constructors_freeze_their_own_copy(build, stored, caller):
+    caller = np.array(caller)
+    frozen = getattr(build(caller), stored)
+    assert not frozen.flags.writeable
+    assert caller.flags.writeable
+    caller[...] = 0
+    assert frozen.flat[0] == 1

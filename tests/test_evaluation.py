@@ -39,6 +39,17 @@ def constant_trainer(label):
     return lambda ds: _Constant(label)
 
 
+class _Counting:
+    """A fitted model that records the row count of every predict call."""
+
+    def __init__(self, model, calls):
+        self.model, self.calls = model, calls
+
+    def predict(self, X):
+        self.calls.append(len(X))
+        return self.model.predict(X)
+
+
 class _Memorizer:
     """Predicts the stored label for seen inputs, +1 for anything unseen."""
 
@@ -217,6 +228,12 @@ class TestBootstrapCorrected:
         est = bootstrap_corrected(constant_trainer(1), ds, m_rounds=1, seed=hit)
         assert est.components["raw"] < 0.0
         assert est.value == 0.0
+
+    def test_each_round_predicts_once_on_all_rows(self):
+        ds = sample(equal_cov_problem(0.5, [1.0], [-1.0]), 30, seed=14)
+        calls = []
+        bootstrap_corrected(lambda d: _Counting(fit_lda(d), calls), ds, m_rounds=7, seed=15)
+        assert calls == [ds.n] * 8  # the full fit, then one call per round
 
 
 class TestE632:

@@ -1,7 +1,8 @@
 """Source hygiene: no module in the package imports a name it never uses,
 no module-level name is assigned that no module of the package reads, the
 package defines no function, class or method that no source of the repo
-reads, and no module keeps two tables keyed by the same names."""
+reads, no module keeps two tables keyed by the same names, and no
+``__post_init__`` stores a field from a value that never reads it."""
 
 import ast
 import itertools
@@ -182,3 +183,56 @@ def test_the_scan_sees_parallel_tables():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_parallel_tables(path):
     assert parallel_tables(path.read_text(encoding="utf-8")) == []
+
+
+def reads_field(expr, field: str, values: dict, seen: set) -> bool:
+    """``expr`` reads ``self.<field>``, directly or through the expressions
+    ``values`` assigns to a local it reads."""
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == f"self.{field}":
+            return True
+        if isinstance(node, ast.Name) and node.id not in seen:
+            seen.add(node.id)
+            if any(reads_field(v, field, values, seen) for v in values.get(node.id, [])):
+                return True
+    return False
+
+
+def fields_set_blind(source: str) -> list:
+    """Fields that a class's ``__post_init__`` sets with ``object.__setattr__``
+    from a value that never reads the field: the constructor ignores what a
+    caller passes there, so it is no input and should not be a field."""
+    found = []
+    for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
+        for init in (f for f in cls.body if getattr(f, "name", None) == "__post_init__"):
+            values = {}  # local name -> the expressions assigned to it
+            for node in ast.walk(init):
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for name in (n for t in targets for n in ast.walk(t)):
+                        if isinstance(name, ast.Name):
+                            values.setdefault(name.id, []).append(node.value)
+            for call in (n for n in ast.walk(init) if isinstance(n, ast.Call)):
+                if ast.unparse(call.func) == "object.__setattr__" and len(call.args) == 3:
+                    field = call.args[1].value
+                    if not reads_field(call.args[2], field, values, set()):
+                        found.append(f"{cls.name}.{field} (line {call.lineno})")
+    return found
+
+
+def test_the_scan_sees_a_field_set_blind():
+    source = (
+        "class A:\n    def __post_init__(self):\n"
+        "        n = self.x\n        m = n + 1\n        m *= 2\n"
+        "        object.__setattr__(self, 'x', m)\n"
+        "        object.__setattr__(self, 'y', tuple(self.y))\n"
+        "        object.__setattr__(self, 'z', n)\n"
+        "        object.__setattr__(self, 'w', len(range(3)))\n"
+        "class B:\n    def check(self):\n        object.__setattr__(self, 'v', 0)\n"
+    )
+    assert fields_set_blind(source) == ["A.z (line 8)", "A.w (line 9)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_field_set_blind(path):
+    assert fields_set_blind(path.read_text(encoding="utf-8")) == []
