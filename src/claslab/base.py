@@ -37,11 +37,20 @@ def as_matrix(X, dim: int) -> np.ndarray:
     return arr
 
 
-def point_or_batch(answer, x, dim: int):
-    """``answer`` applied to x as an (n, dim) batch.
+def freeze(obj, name: str, dtype=float, ndmin: int = 0) -> np.ndarray:
+    """Replace field ``name`` of frozen dataclass ``obj`` with a read-only
+    copy of its value, at least ``ndmin``-dimensional; returns the copy."""
+    arr = np.array(getattr(obj, name), dtype=dtype, ndmin=ndmin)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
+def point_or_batch(answer, x):
+    """``answer(x)``; the answer coerces x and checks its width itself.
 
     A single vector x gives the answer's one element as a Python scalar;
     anything else gives the answer's array.
     """
-    out = answer(as_matrix(x, dim))
+    out = answer(x)
     return out[0].item() if np.ndim(x) == 1 else out

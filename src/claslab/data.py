@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import freeze
 from .exceptions import DataFormatError
 
 LABEL_STRINGS = {"-1": -1, "1": 1, "+1": 1}
@@ -41,8 +42,8 @@ class LabeledDataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=float)
-        labs = np.array(self.labels, dtype=int)
+        feats = freeze(self, "features")
+        labs = freeze(self, "labels", int)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if feats.shape[0] != labs.shape[0]:
@@ -60,10 +61,6 @@ class LabeledDataset:
             if len(names) != feats.shape[1]:
                 raise ValueError("feature_names length does not match d")
             object.__setattr__(self, "feature_names", names)
-        feats.setflags(write=False)
-        labs.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
 
     @property
     def n(self) -> int:
@@ -111,11 +108,9 @@ class FoldAssignment:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        idx = np.array(self.fold_index, dtype=int)
+        idx = freeze(self, "fold_index", int)
         if np.any((idx < 0) | (idx >= self.k)):
             raise ValueError(f"fold indices must lie in [0, {self.k})")
-        idx.setflags(write=False)
-        object.__setattr__(self, "fold_index", idx)
         counts = np.bincount(idx, minlength=self.k)
         if np.any(counts == 0):
             raise ValueError("every fold must be nonempty")
@@ -136,9 +131,9 @@ class BootstrapSample:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=int)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        idx = freeze(self, "indices", int)
+        if np.any((idx < 0) | (idx >= idx.size)):
+            raise ValueError(f"bootstrap indices must lie in [0, {idx.size})")
 
     @property
     def out_of_bag(self) -> np.ndarray:

@@ -174,4 +174,4 @@ def adaboost(ds: LabeledDataset, t_rounds: int) -> BoostModel:
 
 
 def boost_score(model: BoostModel, x):
-    return point_or_batch(model.decision_function, x, model.dim)
+    return point_or_batch(model.decision_function, x)

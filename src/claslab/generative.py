@@ -117,7 +117,7 @@ def fit_lda(
 
 def lda_decision(model: LdaModel, x):
     """weight . x + offset; sign classifies, 0 goes to +1."""
-    return point_or_batch(model.decision_function, x, model.dim)
+    return point_or_batch(model.decision_function, x)
 
 
 @dataclass(frozen=True)
@@ -168,4 +168,4 @@ def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
 
 def parzen_decision(model: ParzenModel, x):
     """Log ratio of the weighted class density estimates at x."""
-    return point_or_batch(model.decision_function, x, model.dim)
+    return point_or_batch(model.decision_function, x)

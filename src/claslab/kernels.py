@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix, point_or_batch
+from .base import DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LABEL_STRINGS, LabeledDataset
 from .exceptions import NumericError
 
@@ -155,7 +155,7 @@ class KernelRidge:
 
 
 def km_decision(km: KernelMachine, x):
-    return point_or_batch(km.decision_function, x, km.dim)
+    return point_or_batch(km.decision_function, x)
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,8 @@ class DissimilarityMap:
     measure: object = None  # None means built-in Euclidean distance
 
     def __post_init__(self):
-        protos = np.atleast_2d(np.array(self.prototypes, dtype=float))
-        if protos.shape[0] < 1:
+        if freeze(self, "prototypes", ndmin=2).shape[0] < 1:
             raise ValueError("need at least one prototype")
-        protos.setflags(write=False)
-        object.__setattr__(self, "prototypes", protos)
 
     @property
     def n_prototypes(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .base import DecisionFunction, as_matrix, point_or_batch
+from .base import DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LabeledDataset
 from .exceptions import NumericError
 from .features import Standardize
@@ -59,9 +59,7 @@ class LinearHypothesis(DecisionFunction):
     info: TrainInfo | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        w = np.atleast_1d(np.array(self.weight, dtype=float))
-        w.setflags(write=False)
-        object.__setattr__(self, "weight", w)
+        freeze(self, "weight", ndmin=1)
 
     @property
     def dim(self) -> int:
@@ -222,4 +220,4 @@ def train_least_squares(ds: LabeledDataset, lam: float = 0.0) -> LinearHypothesi
 
 def posterior_pos(h: LinearHypothesis, x):
     """Posterior probability of the positive class, exp(s)/(1 + exp(s))."""
-    return point_or_batch(lambda X: expit(h.decision_function(X)), x, h.dim)
+    return point_or_batch(lambda X: expit(h.decision_function(X)), x)

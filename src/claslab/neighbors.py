@@ -57,4 +57,4 @@ def fit_knn(ds: LabeledDataset, k: int) -> KnnClassifier:
 
 def knn_classify(model: KnnClassifier, x):
     """Majority label among the k nearest stored points."""
-    return point_or_batch(model.predict, x, model.dim)
+    return point_or_batch(model.predict, x)

@@ -77,7 +77,7 @@ class OneHiddenLayerNet(DecisionFunction):
 
 
 def net_forward(net: OneHiddenLayerNet, x):
-    return point_or_batch(net.forward, x, net.dim)
+    return point_or_batch(net.forward, x)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import _BLOCK, DecisionFunction, as_matrix, point_or_batch
+from .base import _BLOCK, DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LabeledDataset
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _check_cov(cov, d, name):
-    cov = np.array(cov, dtype=float)
+def _check_cov(problem, name):
+    cov, d = freeze(problem, name), problem.dim
     if cov.shape != (d, d):
         raise ValueError(f"{name} must be {d}x{d}")
     if not np.allclose(cov, cov.T, atol=1e-10):
@@ -32,8 +32,6 @@ def _check_cov(cov, d, name):
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} must be positive definite") from None
-    cov.setflags(write=False)
-    return cov
 
 
 @dataclass(frozen=True)
@@ -49,17 +47,11 @@ class GaussianMixtureProblem:
     def __post_init__(self):
         if not 0.0 <= self.prior_pos <= 1.0:
             raise ValueError("prior_pos must lie in [0, 1]")
-        mp = np.atleast_1d(np.array(self.mean_pos, dtype=float))
-        mn = np.atleast_1d(np.array(self.mean_neg, dtype=float))
+        mp, mn = freeze(self, "mean_pos", ndmin=1), freeze(self, "mean_neg", ndmin=1)
         if mp.shape != mn.shape or mp.ndim != 1:
             raise ValueError("means must be vectors of equal dimension")
-        d = mp.shape[0]
-        mp.setflags(write=False)
-        mn.setflags(write=False)
-        object.__setattr__(self, "mean_pos", mp)
-        object.__setattr__(self, "mean_neg", mn)
-        object.__setattr__(self, "cov_pos", _check_cov(self.cov_pos, d, "cov_pos"))
-        object.__setattr__(self, "cov_neg", _check_cov(self.cov_neg, d, "cov_neg"))
+        _check_cov(self, "cov_pos")
+        _check_cov(self, "cov_neg")
 
     @property
     def dim(self) -> int:
@@ -148,7 +140,7 @@ def bayes_classify(problem: GaussianMixtureProblem, x):
     Exact ties (and zero-prior degeneracies that leave both sides equal)
     go to +1.  Returns a scalar for a single vector, else an array.
     """
-    return point_or_batch(BayesClassifier(problem).predict, x, problem.dim)
+    return point_or_batch(BayesClassifier(problem).predict, x)
 
 
 def _crossings_1d(problem):

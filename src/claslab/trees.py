@@ -148,7 +148,7 @@ def fit_tree(
 
 
 def tree_classify(tree: DecisionTree, x):
-    return point_or_batch(tree.predict, x, tree.dim)
+    return point_or_batch(tree.predict, x)
 
 
 def tree_trace(tree: DecisionTree, x):

@@ -1,5 +1,7 @@
 """End-to-end CLI runs: files in, files out, exit codes, determinism."""
 
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -8,12 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claslab.cli import CURVES, ESTIMATORS, REQUIRED, TRAINERS, main
+from claslab.cli import _KWARGS, CURVES, ESTIMATORS, REQUIRED, TRAINERS, main
 from claslab.data import load_csv
-from claslab.evaluation import apparent_error
+from claslab.ensembles import TreeConfig
+from claslab.evaluation import apparent_error, feature_curve, holdout_error, kfold_cv
 from claslab.features import TRANSFORMS
+from claslab.generative import fit_lda
+from claslab.kernels import Kernel
+from claslab.linear import TrainConfig, train_least_squares, train_logistic
+from claslab.neural import NetTrainConfig
 from claslab.oracle import bayes_error, equal_cov_problem, problem_to_json, sample
 from claslab.serialize import load_model
+from claslab.trees import fit_tree
 
 PROBLEM = problem_to_json(equal_cov_problem(0.5, [1.0], [-1.0]))
 PROBLEM_2D = problem_to_json(equal_cov_problem(0.5, [1.0, 0.5], [-1.0, -0.5]))
@@ -676,3 +684,58 @@ def test_readme_lists_every_transform():
     # the registry keys a step that takes an argument with its ":"
     names = {name.split(":")[0] + ":" * (":" in name) for name in readme_table("Transforms")}
     assert names == set(TRANSFORMS)
+
+
+# registry entry -> the functions and dataclasses its parameters feed, searched in order
+FEEDS = {
+    ("TRAINERS", "lda"): [fit_lda],
+    ("TRAINERS", "logistic"): [train_logistic, TrainConfig],
+    ("TRAINERS", "least_squares"): [train_least_squares],
+    ("TRAINERS", "linear"): [TrainConfig],
+    ("TRAINERS", "kernel_ridge"): [Kernel],
+    ("TRAINERS", "tree"): [fit_tree],
+    ("TRAINERS", "bagging"): [TreeConfig],
+    ("TRAINERS", "random_subspace"): [TreeConfig],
+    ("TRAINERS", "net"): [NetTrainConfig],
+    ("ESTIMATORS", "holdout"): [holdout_error],
+    ("ESTIMATORS", "kfold"): [kfold_cv],
+    ("CURVES", "feature"): [feature_curve],
+}
+# schema defaults for parameters that the library asks every caller to give
+CLI_ONLY = {
+    "TRAINERS.kernel_ridge.kernel", "ESTIMATORS.holdout.test_fraction", "ESTIMATORS.kfold.k",
+    "ESTIMATORS.bootstrap_corrected.m_rounds", "ESTIMATORS.e632.m_rounds",
+    "CURVES.learning.repeats", "CURVES.learning.n_test_mc", "CURVES.feature.repeats",
+}
+SCHEMA_DEFAULTS = {
+    f"{registry}.{name}.{key}": (FEEDS.get((registry, name), []), key, default)
+    for registry, table in [("TRAINERS", TRAINERS), ("ESTIMATORS", ESTIMATORS),
+                            ("CURVES", CURVES)]
+    for name, (schema, _) in table.items()
+    for key, (_, default) in schema.items()
+    if default is not REQUIRED
+}
+
+
+def library_default(targets, keyword):
+    """The default the first target that takes ``keyword`` gives it, else REQUIRED."""
+    for target in targets:
+        if dataclasses.is_dataclass(target):
+            defaults = {f.name: f.default for f in dataclasses.fields(target)}
+            missing = dataclasses.MISSING
+        else:
+            defaults = {k: p.default for k, p in inspect.signature(target).parameters.items()}
+            missing = inspect.Parameter.empty
+        if keyword in defaults:
+            return REQUIRED if defaults[keyword] is missing else defaults[keyword]
+    return REQUIRED
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_DEFAULTS))
+def test_schema_default_is_the_library_default(case):
+    targets, key, default = SCHEMA_DEFAULTS[case]
+    fed = library_default(targets, _KWARGS.get(key, key))
+    if case in CLI_ONLY:
+        assert fed is REQUIRED
+    else:
+        assert type(fed) is type(default) and fed == default

@@ -299,6 +299,11 @@ class TestBootstrap:
             want = np.setdiff1d(np.arange(n), idx)
             assert oob.dtype == want.dtype and np.array_equal(oob, want)
 
+    @pytest.mark.parametrize("indices", [[0, 5], [0, -1]])
+    def test_an_index_outside_the_rows_names_the_range(self, indices):
+        with pytest.raises(ValueError, match=r"bootstrap indices must lie in \[0, 2\)"):
+            BootstrapSample(indices)
+
     def test_out_of_bag_is_no_constructor_argument(self):
         with pytest.raises(TypeError):
             BootstrapSample([0, 0], out_of_bag=[1])
@@ -317,13 +322,18 @@ def test_child_seed_is_stable_and_distinct():
 
 
 @pytest.mark.parametrize("build, stored, caller", [
+    (lambda a: LabeledDataset(a, [1]), "features", [[1.0, 0.0]]),
+    (lambda a: LabeledDataset([[0.0]], a), "labels", [1]),
     (lambda a: GaussianMixtureProblem(0.5, a, [0.0], [[1.0]], [[1.0]]), "mean_pos", [1.0]),
     (lambda a: GaussianMixtureProblem(0.5, [0.0], a, [[1.0]], [[1.0]]), "mean_neg", [1.0]),
+    (lambda a: GaussianMixtureProblem(0.5, [0.0], [0.0], a, [[1.0]]), "cov_pos", [[1.0]]),
+    (lambda a: GaussianMixtureProblem(0.5, [0.0], [0.0], [[1.0]], a), "cov_neg", [[1.0]]),
     (lambda a: LinearHypothesis(a, 0.0), "weight", [1.0, 0.0]),
     (lambda a: FoldAssignment(a, 2), "fold_index", [1, 0]),
     (lambda a: BootstrapSample(a), "indices", [1, 0]),
     (lambda a: DissimilarityMap(a), "prototypes", [[1.0, 0.0]]),
-], ids=["mean_pos", "mean_neg", "weight", "fold_index", "indices", "prototypes"])
+], ids=["features", "labels", "mean_pos", "mean_neg", "cov_pos", "cov_neg", "weight",
+        "fold_index", "indices", "prototypes"])
 def test_constructors_freeze_their_own_copy(build, stored, caller):
     caller = np.array(caller)
     frozen = getattr(build(caller), stored)

@@ -1,8 +1,9 @@
 """Source hygiene: no module in the package imports a name it never uses,
 no module-level name is assigned that no module of the package reads, the
 package defines no function, class or method that no source of the repo
-reads, no module keeps two tables keyed by the same names, and no
-``__post_init__`` stores a field from a value that never reads it."""
+reads, no module keeps two tables keyed by the same names, no
+``__post_init__`` stores a field from a value that never reads it, and no
+code but ``base.freeze`` calls ``setflags``."""
 
 import ast
 import itertools
@@ -236,3 +237,32 @@ def test_the_scan_sees_a_field_set_blind():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_field_set_blind(path):
     assert fields_set_blind(path.read_text(encoding="utf-8")) == []
+
+
+def setflags_outside_freeze(source: str, module: str) -> list:
+    """``.setflags`` calls in ``source`` that are not inside ``base.freeze``:
+    one helper copies and freezes every array a constructor stores."""
+    tree = ast.parse(source)
+    freeze = [f for f in tree.body if module == "base" and getattr(f, "name", None) == "freeze"]
+    allowed = {id(n) for f in freeze for n in ast.walk(f)}
+    calls = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "setflags" and id(n) not in allowed
+    ]
+    return [f"{module} line {n.lineno}" for n in sorted(calls, key=lambda n: n.lineno)]
+
+
+def test_the_scan_sees_a_setflags_call_outside_freeze():
+    source = (
+        "def freeze(a):\n    a.setflags(write=False)\n"
+        "class A:\n    def __post_init__(self):\n        self.x.setflags(write=False)\n"
+        "setflags(b)\nnp.copy(b).setflags(write=True)\n"
+    )
+    assert setflags_outside_freeze(source, "base") == ["base line 5", "base line 7"]
+    assert setflags_outside_freeze(source, "data") == ["data line 2", "data line 5", "data line 7"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_freeze_calls_setflags(path):
+    assert setflags_outside_freeze(path.read_text(encoding="utf-8"), path.stem) == []
