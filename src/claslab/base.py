@@ -25,7 +25,8 @@ class DecisionFunction:
     def predict(self, X) -> np.ndarray:
         """Labels scored ``_BLOCK`` rows at a time, so memory does not grow with the batch."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        blocks = (X[lo : lo + _BLOCK] for lo in range(0, max(len(X), 1), _BLOCK))  # 0 rows: 1 call
+        cuts = [0, *range(_BLOCK, len(X) - 1, _BLOCK), len(X)]  # never a one-row last block
+        blocks = (X[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
         return np.concatenate([sign_labels(self.decision_function(b)) for b in blocks])
 
 

@@ -131,6 +131,10 @@ class ParzenModel(DecisionFunction):
     prior_pos: float
     prior_neg: float
 
+    def __post_init__(self):
+        if not (self.bandwidth > 0 and 0.0 < self.bandwidth * self.bandwidth < np.inf):
+            raise ValueError("bandwidth must be positive with a positive finite square")
+
     @property
     def dim(self) -> int:
         return self.points_pos.shape[1]
@@ -154,8 +158,6 @@ class ParzenModel(DecisionFunction):
 
 def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
     """Store the training points; all smoothing happens at query time."""
-    if not (bandwidth > 0 and 0.0 < bandwidth * bandwidth < np.inf):
-        raise ValueError("bandwidth must be positive with a positive finite square")
     pos = _positive_rows(ds)
     return ParzenModel(
         bandwidth=float(bandwidth),

@@ -14,44 +14,37 @@ from .data import LabeledDataset
 class KnnClassifier(DecisionFunction):
     """Vote of the k nearest stored points.
 
-    k must be odd so two-class votes cannot tie.  Exact distance ties
-    are resolved toward the lower stored row index (stable sort on
-    distance keeps original order among equals).
+    k must be odd so two-class votes cannot tie.  One mask picks the
+    points nearer than the k-th smallest distance, then those exactly at
+    it in stored-row order, so a distance tie goes to the lower index.
     """
 
     k: int
     dataset: LabeledDataset
+
+    def __post_init__(self):
+        if not 1 <= self.k <= self.dataset.n:
+            raise ValueError(f"k must lie in [1, N={self.dataset.n}]")
+        if self.k % 2 == 0:
+            raise ValueError("even k can tie a two-class vote; use odd k")
 
     @property
     def dim(self) -> int:
         return self.dataset.dim
 
     def decision_function(self, X):
-        X = as_matrix(X, self.dim)
-        stored = self.dataset.features
-        labels = self.dataset.labels
         k = self.k
         # squared distances order identically to Euclidean ones
-        dist = cdist(X, stored, "sqeuclidean")
-        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        rows = np.arange(X.shape[0])[:, None]
-        kth = dist[rows, part].max(axis=1)
-        # rows with several points exactly at the k-th distance need the
-        # stable order to honor the lower-index tie rule
-        tied = (dist <= kth[:, None]).sum(axis=1) > k
-        votes = labels[part].mean(axis=1)
-        for r in np.flatnonzero(tied):
-            order = np.argsort(dist[r], kind="stable")[:k]
-            votes[r] = labels[order].mean()
-        return votes
+        dist = cdist(as_matrix(X, self.dim), self.dataset.features, "sqeuclidean")
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partition
+        at, vote = dist == kth, dist < kth
+        vote |= at & (at.cumsum(axis=1, dtype=np.int32) <= k - vote.sum(axis=1, keepdims=True))
+        vote &= self.dataset.labels == 1
+        return (2 * vote.sum(axis=1) - k) / k  # exact: the mean of the k voting labels
 
 
 def fit_knn(ds: LabeledDataset, k: int) -> KnnClassifier:
     """Store the data verbatim; all work happens at query time."""
-    if not 1 <= k <= ds.n:
-        raise ValueError(f"k must lie in [1, N={ds.n}]")
-    if k % 2 == 0:
-        raise ValueError("even k can tie a two-class vote; use odd k")
     return KnnClassifier(k, ds)
 
 

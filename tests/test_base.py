@@ -70,7 +70,7 @@ BLOCK_MODELS = {
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
-@pytest.mark.parametrize("rows", [0, 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 5])
 def test_predict_agrees_with_one_decision_function_call(name, rows):
     path = BLOCK_MODELS[name]
     model = cl.BayesClassifier(PROBLEM) if path is None else load_model(path)
@@ -82,6 +82,34 @@ def test_predict_agrees_with_one_decision_function_call(name, rows):
     # so only rows away from a tie must agree
     clear = np.abs(scores) > 1e-9
     np.testing.assert_array_equal(labels[clear], sign_labels(scores)[clear])
+
+
+class _RowCounter(cl.DecisionFunction):
+    def __init__(self):
+        self.sizes = []
+
+    def decision_function(self, X):
+        self.sizes.append(len(X))
+        return X[:, 0]
+
+
+@pytest.mark.parametrize(
+    "rows, sizes",
+    [
+        (0, [0]),
+        (1, [1]),
+        (_BLOCK, [_BLOCK]),
+        (_BLOCK + 1, [_BLOCK + 1]),
+        (_BLOCK + 2, [_BLOCK, 2]),
+        (2 * _BLOCK + 1, [_BLOCK, _BLOCK + 1]),
+    ],
+)
+def test_predict_never_scores_a_one_row_last_block(rows, sizes):
+    # a one-row batch takes a different BLAS routine, so the last row of a
+    # block from true_error's sampler would round unlike its neighbours
+    model = _RowCounter()
+    assert model.predict(np.zeros((rows, 1))).shape == (rows,)
+    assert model.sizes == sizes
 
 
 def _peak_bytes(run):

@@ -2,10 +2,47 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from claslab.data import LabeledDataset
 from claslab.neighbors import fit_knn, knn_classify
 from claslab.oracle import equal_cov_problem, sample
+
+
+def _sorted_vote(model, X):
+    """The vote by partial sort, with a stable re-sort of every row that has
+    several points at its k-th distance: the reference for the masked rule."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    stored = model.dataset.features
+    labels = model.dataset.labels
+    k = model.k
+    dist = cdist(X, stored, "sqeuclidean")
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    rows = np.arange(X.shape[0])[:, None]
+    kth = dist[rows, part].max(axis=1)
+    tied = (dist <= kth[:, None]).sum(axis=1) > k
+    votes = labels[part].mean(axis=1)
+    for r in np.flatnonzero(tied):
+        order = np.argsort(dist[r], kind="stable")[:k]
+        votes[r] = labels[order].mean()
+    return votes
+
+
+def _tie_case(rng):
+    """A model and queries rich in exact distance ties."""
+    n, d = int(rng.integers(1, 61)), int(rng.integers(1, 4))
+    features = np.round(rng.normal(scale=2.0, size=(n, d)))  # a coarse grid
+    if n > 2 and rng.random() < 0.5:  # duplicated stored rows
+        features[rng.integers(0, n, n // 3)] = features[rng.integers(0, n)]
+    odd = [k for k in range(1, 10, 2) if k <= n] + ([n] if n % 2 else [])
+    model = fit_knn(LabeledDataset(features, rng.choice([-1, 1], n)), int(rng.choice(odd)))
+    m = int(rng.integers(0, 40))  # 0-row batches included
+    queries = np.round(rng.normal(scale=2.0, size=(m, d)))
+    hits = rng.integers(0, m + 1)  # queries at distance 0 from a stored row
+    queries[:hits] = features[rng.integers(0, n, hits)]
+    if m and rng.random() < 0.2:
+        queries[rng.integers(0, m), rng.integers(0, d)] = rng.choice([-np.inf, np.inf])
+    return model, queries
 
 
 class TestFitKnn:
@@ -47,6 +84,25 @@ class TestKnnClassify:
     def test_distance_tie_takes_lower_index(self):
         model = fit_knn(LabeledDataset([[0.0], [2.0]], [-1, 1]), 1)
         assert knn_classify(model, [1.0]) == -1  # equidistant; index 0 wins
+
+    def test_tied_points_fill_the_vote_in_stored_order(self):
+        circle = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
+        model = fit_knn(LabeledDataset(circle, [-1, -1, 1, 1, 1]), 3)
+        assert model.decision_function([[0.0, 0.0]]).tolist() == [-1 / 3]
+
+    def test_masked_vote_matches_the_sorted_vote_bytes(self):
+        rng = np.random.default_rng(17)
+        cases = [_tie_case(rng) for _ in range(400)]
+        model, _ = cases[0]
+        cases.append((model, np.round(rng.normal(scale=2.0, size=(4097, model.dim)))))
+        for i, (model, queries) in enumerate(cases):
+            got = model.decision_function(queries)
+            want = _sorted_vote(model, queries)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+
+    def test_a_nan_query_has_no_neighbours_and_scores_minus_one(self):
+        model = fit_knn(LabeledDataset([[0.0], [1.0], [2.0]], [1, 1, 1]), 3)
+        assert model.decision_function([[np.nan], [0.5]]).tolist() == [-1.0, 1.0]
 
     def test_dimension_mismatch(self):
         model = fit_knn(LabeledDataset([[0.0, 0.0]], [1]), 1)

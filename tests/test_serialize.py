@@ -85,6 +85,25 @@ def test_subspace_masks_survive(tmp_path):
     assert again.member_feature_masks == model.member_feature_masks
 
 
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        ("knn", "k", -1, r"k must lie in \[1, N=50\]"),
+        ("knn", "k", 0, r"k must lie in \[1, N=50\]"),
+        ("knn", "k", 52, r"k must lie in \[1, N=50\]"),
+        ("knn", "k", 2, "even k"),
+        ("parzen", "bandwidth", 0.0, "bandwidth must be positive"),
+        ("parzen", "bandwidth", -0.5, "bandwidth must be positive"),
+    ],
+    ids=["k=-1", "k=0", "k=N+2", "k=2", "bandwidth=0", "bandwidth=-0.5"],
+)
+def test_a_model_file_gets_the_fits_parameter_checks(kind, field, value, message):
+    obj = model_to_dict(fitted_models()[kind])
+    obj[field] = value
+    with pytest.raises(ValueError, match=message):
+        model_from_dict(obj)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown model kind"):
         model_from_dict({"kind": "mystery"})
