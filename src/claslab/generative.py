@@ -7,11 +7,11 @@ density work happens in log space.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .base import DecisionFunction, as_matrix, point_or_batch
 from .data import LabeledDataset
@@ -120,6 +120,22 @@ def lda_decision(model: LdaModel, x):
     return point_or_batch(model.decision_function, x)
 
 
+def _logsumexp_rows(a):
+    """scipy.special.logsumexp(a, axis=1) of a real matrix, bit for bit, in a's own buffer."""
+    top = a.max(axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(top))  # only these rows' shifted sums are not finite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fallback = np.log(np.exp(a[bad]).sum(axis=1))
+        mask = a == top
+        m = mask.sum(axis=1, keepdims=True, dtype=float)
+        a[mask] = -np.inf
+        s = np.exp(np.subtract(a, top, out=a), out=a).sum(axis=1, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0)
+        out = (np.log1p(s) + np.log(m) + top)[:, 0]
+    out[bad] = fallback
+    return out
+
+
 @dataclass(frozen=True)
 class ParzenModel(DecisionFunction):
     """Kernel density estimate per class: a mean of isotropic Gaussians
@@ -132,6 +148,8 @@ class ParzenModel(DecisionFunction):
     prior_neg: float
 
     def __post_init__(self):
+        if isinstance(self.bandwidth, bool) or not isinstance(self.bandwidth, numbers.Real):
+            raise ValueError(f"bandwidth must be a real number, got {self.bandwidth!r}")
         if not (self.bandwidth > 0 and 0.0 < self.bandwidth * self.bandwidth < np.inf):
             raise ValueError("bandwidth must be positive with a positive finite square")
 
@@ -140,11 +158,12 @@ class ParzenModel(DecisionFunction):
         return self.points_pos.shape[1]
 
     def _log_density(self, X, points):
-        d = self.dim
         h2 = self.bandwidth**2
         sq = cdist(X, points, "sqeuclidean")
-        norm = -0.5 * d * (LOG_2PI + np.log(h2)) - np.log(points.shape[0])
-        return logsumexp(-0.5 * sq / h2, axis=1) + norm
+        sq *= -0.5
+        sq /= h2
+        norm = -0.5 * self.dim * (LOG_2PI + np.log(h2)) - np.log(points.shape[0])
+        return _logsumexp_rows(sq) + norm
 
     def decision_function(self, X):
         X = as_matrix(X, self.dim)

@@ -30,11 +30,16 @@ from .base import DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LABEL_STRINGS, LabeledDataset
 from .exceptions import NumericError
 
+
+def _rbf(D, sigma2):  # exp(-D / sigma2) in D's own buffer: negate, divide, exponentiate
+    return np.exp(np.divide(np.negative(D, out=D), sigma2, out=D), out=D)
+
+
 KERNEL_KINDS = {
     "linear": lambda k, Z, X: Z @ X.T,
     "poly2_homogeneous": lambda k, Z, X: (Z @ X.T) ** 2,
     "poly2_inhomogeneous": lambda k, Z, X: (Z @ X.T + k.c**2) ** 2,
-    "rbf": lambda k, Z, X: np.exp(-cdist(Z, X, "sqeuclidean") / k.sigma**2),
+    "rbf": lambda k, Z, X: _rbf(cdist(Z, X, "sqeuclidean"), k.sigma**2),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ class KnnClassifier(DecisionFunction):
     dataset: LabeledDataset
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if not 1 <= self.k <= self.dataset.n:
             raise ValueError(f"k must lie in [1, N={self.dataset.n}]")
         if self.k % 2 == 0:
@@ -38,7 +41,10 @@ class KnnClassifier(DecisionFunction):
         dist = cdist(as_matrix(X, self.dim), self.dataset.features, "sqeuclidean")
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k].copy()  # frees the partition
         at, vote = dist == kth, dist < kth
-        vote |= at & (at.cumsum(axis=1, dtype=np.int32) <= k - vote.sum(axis=1, keepdims=True))
+        seats = k - vote.sum(axis=1, keepdims=True)
+        tied = np.flatnonzero(at.sum(axis=1, keepdims=True) > seats)  # only these need the order
+        at[tied] &= at[tied].cumsum(axis=1, dtype=np.int32) <= seats[tied]
+        vote |= at
         vote &= self.dataset.labels == 1
         return (2 * vote.sum(axis=1) - k) / k  # exact: the mean of the k voting labels
 

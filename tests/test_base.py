@@ -146,3 +146,21 @@ def test_true_error_draws_its_sample_one_block_at_a_time():
     large = _peak_bytes(lambda: cl.true_error(model, PROBLEM, 40 * n, seed=4))
     # less than one block's (rows, d) features and labels, whatever n_mc is
     assert large - small < _BLOCK * (PROBLEM.dim + 1) * 8
+
+
+@pytest.mark.parametrize(
+    "fit, bound_mib",
+    [
+        (lambda ds: cl.fit_parzen(ds, 0.7), 10),
+        (lambda ds: cl.fit_knn(ds, 7), 27),
+        (lambda ds: cl.train_kernel_machine(ds, cl.Kernel("rbf"), 0.1), 15),
+    ],
+    ids=["parzen", "knn", "kernel_ridge"],
+)
+def test_a_query_block_is_scored_within_its_memory_budget(fit, bound_mib):
+    # one (4096, 400) float64 distance block is 12.5 MiB; Parzen holds one
+    # class's half of it at a time
+    problem = cl.equal_cov_problem(0.5, [0.5] * 5, [-0.5] * 5)
+    model = fit(cl.sample(problem, 400, seed=5))
+    queries = cl.sample(problem, _BLOCK, seed=6).features
+    assert _peak_bytes(lambda: model.decision_function(queries)) <= bound_mib * 2**20

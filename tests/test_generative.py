@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from claslab.data import LabeledDataset
 from claslab.exceptions import FitError, NumericError
 from claslab.generative import (
+    _logsumexp_rows,
     fit_lda,
     fit_parzen,
     lda_decision,
@@ -128,6 +130,33 @@ class TestLdaGeometry:
                     candidates.append((model.prior_pos, model.mean_pos, model.mean_neg, cov))
         for prior, mp, mn, cov in candidates:
             assert log_likelihood(ds, prior, mp, mn, cov) <= base + 1e-12
+
+
+def _logsumexp_case(rng):
+    """A matrix rich in tied maxima and non-finite terms; 1-row and
+    1-column shapes included."""
+    n, m = (int(v) for v in rng.integers(1, 60, size=2))
+    n, m = [(1, m), (n, 1), (n, m), (n, m)][rng.integers(0, 4)]
+    a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(n, m))
+    if rng.random() < 0.5:  # rounded values tie, maxima included
+        a = np.round(a)
+    for value in (np.inf, -np.inf, np.nan, 1e308, -1e308):
+        if rng.random() < 0.3:
+            a[rng.integers(0, n, size=n // 4 + 1), rng.integers(0, m, size=n // 4 + 1)] = value
+    if rng.random() < 0.3:
+        a[rng.integers(0, n)] = -np.inf
+    return a
+
+
+def test_private_logsumexp_equals_scipys_bytes():
+    rng = np.random.default_rng(23)
+    for i in range(400):
+        a = _logsumexp_case(rng)
+        with np.errstate(all="ignore"):
+            want = logsumexp(a, axis=1)
+        got = _logsumexp_rows(a.copy())
+        assert got.dtype == want.dtype and got.shape == want.shape, i
+        assert got.tobytes() == want.tobytes(), i
 
 
 class TestParzen:

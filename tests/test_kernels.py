@@ -116,6 +116,9 @@ def test_kind_table_matches_the_reference_ladder_bit_for_bit(kind):
         Z, X = rng.normal(size=(m, d), scale=2.0), rng.normal(size=(n, d), scale=2.0)
         K, ref = kernel.matrix(Z, X), _reference_matrix(kernel, Z, X)
         assert K.dtype == ref.dtype and K.shape == ref.shape and K.tobytes() == ref.tobytes()
+        ref = _reference_matrix(kernel, X, X)
+        gram = gram_matrix(kernel, LabeledDataset(X, np.ones(n)))
+        assert gram.tobytes() == (np.triu(ref) + np.triu(ref, 1).T).tobytes()
 
 
 def test_unknown_kernel_rejected():

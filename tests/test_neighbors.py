@@ -28,6 +28,13 @@ def _sorted_vote(model, X):
     return votes
 
 
+def _tied_rows(model, X):
+    """How many rows have more stored points within their k-th distance than k."""
+    dist = cdist(X, model.dataset.features, "sqeuclidean")
+    kth = np.partition(dist, model.k - 1, axis=1)[:, model.k - 1 : model.k]
+    return int(((dist <= kth).sum(axis=1) > model.k).sum())
+
+
 def _tie_case(rng):
     """A model and queries rich in exact distance ties."""
     n, d = int(rng.integers(1, 61)), int(rng.integers(1, 4))
@@ -95,10 +102,33 @@ class TestKnnClassify:
         cases = [_tie_case(rng) for _ in range(400)]
         model, _ = cases[0]
         cases.append((model, np.round(rng.normal(scale=2.0, size=(4097, model.dim)))))
+        # a block with no row tied at its k-th distance, and one with every row tied
+        untied = fit_knn(LabeledDataset(rng.normal(size=(60, 3)), rng.choice([-1, 1], 60)), 5)
+        quads = np.repeat(rng.normal(size=(15, 2)), 4, axis=0)  # each stored point 4 times
+        tied = fit_knn(LabeledDataset(quads, rng.choice([-1, 1], 60)), 3)
+        for model, ties in [(untied, 0), (tied, 300)]:
+            queries = rng.normal(size=(300, model.dim))
+            assert _tied_rows(model, queries) == ties
+            cases.append((model, queries))
         for i, (model, queries) in enumerate(cases):
             got = model.decision_function(queries)
             want = _sorted_vote(model, queries)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
+
+    def test_non_finite_rows_leave_the_vote_of_their_block_unchanged(self):
+        rng = np.random.default_rng(29)
+        stored = LabeledDataset(np.round(rng.normal(size=(40, 2))), rng.choice([-1, 1], 40))
+        model = fit_knn(stored, 5)
+        queries = np.round(rng.normal(size=(60, 2)))
+        queries[rng.integers(0, 60, size=15), rng.integers(0, 2, size=15)] = np.inf
+        queries[rng.integers(0, 60, size=15), rng.integers(0, 2, size=15)] = -np.inf
+        queries[rng.integers(0, 60, size=10), rng.integers(0, 2, size=10)] = np.nan
+        nan_rows = np.isnan(queries).any(axis=1)
+        inf_rows = np.isinf(queries).any(axis=1) & ~nan_rows
+        assert nan_rows.any() and inf_rows.any() and (~nan_rows & ~inf_rows).any()
+        want = _sorted_vote(model, queries)
+        want[nan_rows] = -1.0  # a NaN distance is nobody's neighbour
+        assert model.decision_function(queries).tobytes() == want.tobytes()
 
     def test_a_nan_query_has_no_neighbours_and_scores_minus_one(self):
         model = fit_knn(LabeledDataset([[0.0], [1.0], [2.0]], [1, 1, 1]), 3)

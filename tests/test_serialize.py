@@ -1,6 +1,7 @@
 """Every model kind must survive a JSON round trip bit-for-bit."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,14 +95,27 @@ def test_subspace_masks_survive(tmp_path):
         ("knn", "k", 2, "even k"),
         ("parzen", "bandwidth", 0.0, "bandwidth must be positive"),
         ("parzen", "bandwidth", -0.5, "bandwidth must be positive"),
+        ("knn", "k", 3.0, "k must be an integer, got 3.0"),
+        ("knn", "k", True, "k must be an integer, got True"),
+        ("parzen", "bandwidth", "0.7", "bandwidth must be a real number, got '0.7'"),
     ],
-    ids=["k=-1", "k=0", "k=N+2", "k=2", "bandwidth=0", "bandwidth=-0.5"],
+    ids=["k=-1", "k=0", "k=N+2", "k=2", "bandwidth=0", "bandwidth=-0.5",
+         "k=3.0", "k=true", "bandwidth='0.7'"],
 )
 def test_a_model_file_gets_the_fits_parameter_checks(kind, field, value, message):
     obj = model_to_dict(fitted_models()[kind])
     obj[field] = value
     with pytest.raises(ValueError, match=message):
         model_from_dict(obj)
+
+
+def test_numpy_integer_k_and_numpy_float_bandwidth_stay_valid():
+    models = fitted_models()
+    knn = cl.KnnClassifier(np.int64(5), models["knn"].dataset)
+    parzen = replace(models["parzen"], bandwidth=np.float64(0.8))
+    for name, model in [("knn", knn), ("parzen", parzen)]:
+        want = models[name].decision_function(QUERIES)
+        assert model.decision_function(QUERIES).tobytes() == want.tobytes()
 
 
 def test_unknown_kind_rejected():
