@@ -17,6 +17,7 @@ with identical inputs writes byte-identical outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,7 +27,6 @@ from pathlib import Path
 from . import evaluation
 from .data import child_seed, load_csv, save_csv
 from .ensembles import TreeConfig, adaboost, bagging, random_subspace
-from .exceptions import DivergenceError, EstimationError, FitError, NumericError
 from .features import make_pipeline_trainer, split_transform_spec
 from .generative import fit_lda, fit_parzen
 from .kernels import Kernel, KernelRidge
@@ -37,14 +37,9 @@ from .oracle import BayesClassifier, load_problem, sample
 from .serialize import save_model, write_json
 from .trees import fit_tree
 
-_USAGE_ERRORS = (
-    ValueError,
-    KeyError,
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-)
-_RUNTIME_ERRORS = (FitError, NumericError, DivergenceError, EstimationError, MemoryError)
+# every package failure is a RuntimeError (see exceptions.py), a RecursionError too
+_USAGE_ERRORS = (ValueError, KeyError, OSError)
+_RUNTIME_ERRORS = (RuntimeError, MemoryError)
 
 # sub-seed roles, so data sampling, training and estimation draw from
 # independent streams of the one config seed
@@ -288,9 +283,7 @@ def cmd_train(cfg) -> int:
         "trainer": name,
         "apparent_error": evaluation.zero_one_error(model, ds),
         "n_train": ds.n,
-        "iterations": None if info is None else info.iterations,
-        "objective": None if info is None else info.objective,
-        "termination": None if info is None else info.termination,
+        **{key: getattr(info, key, None) for key in ("iterations", "objective", "termination")},
     }
     report_path = out.parent / (out.stem + ".report.json")
     write_json(report, report_path)
@@ -303,14 +296,7 @@ def cmd_eval(cfg) -> int:
     out = Path(_get(cfg, "out", str))
     name, trainer = _resolve_trainer(cfg, _get(cfg, "trainer", dict, {}), problem, pointwise)
     est = _estimator(cfg)(trainer, ds)
-    payload = {
-        "trainer": name,
-        "value": est.value,
-        "method": est.method,
-        "std": est.std,
-        "components": est.components,
-    }
-    write_json(payload, out)
+    write_json({"trainer": name, **dataclasses.asdict(est)}, out)
     print(f"wrote {out} (value={est.value})")
     return 0
 

@@ -201,9 +201,8 @@ def save_csv(ds: LabeledDataset, path) -> None:
     names = ds.feature_names or tuple(f"f{j}" for j in range(ds.dim))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + ",label\n")
-        for row, lab in zip(ds.features, ds.labels):
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write(f",{int(lab)}\n")
+        for row, lab in zip(ds.features.tolist(), ds.labels.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{lab}\n")
 
 
 def _shuffled_groups(ds: LabeledDataset, stratified: bool, seed: int) -> list:

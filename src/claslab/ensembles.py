@@ -69,18 +69,11 @@ class Ensemble(DecisionFunction):
     def __post_init__(self):
         _check_combiner(self.combiner)
 
-    def _member_scores(self, X):
-        rows = []
-        for i, member in enumerate(self.members):
-            cols = X
-            if self.member_feature_masks is not None:
-                cols = X[:, np.asarray(self.member_feature_masks[i], dtype=int)]
-            rows.append(np.asarray(member.decision_function(cols), dtype=float))
-        return np.vstack(rows)
-
     def decision_function(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return COMBINERS[self.combiner](self._member_scores(X))
+        masks = self.member_feature_masks or [slice(None)] * len(self.members)
+        scores = [m.decision_function(X[:, cols]) for m, cols in zip(self.members, masks)]
+        return COMBINERS[self.combiner](np.vstack(scores))
 
 
 def bagging(

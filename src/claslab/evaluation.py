@@ -20,7 +20,7 @@ from .base import sign_labels
 from .data import (
     FoldAssignment, LabeledDataset, _holdout_rows, bootstrap_sample, child_seed, make_folds,
 )
-from .exceptions import DivergenceError, EstimationError, FitError, NumericError
+from .exceptions import EstimationError
 from .oracle import GaussianMixtureProblem, sample, true_error
 from . import features as _features
 
@@ -80,14 +80,14 @@ def _mistakes(trainer, ds: LabeledDataset, train, test) -> np.ndarray:
 
     The rows are index arrays into ``ds``, or ``slice(None)`` for every
     row; each estimator reduces the masks.  This is the one place an
-    estimator refits.  A fit that fails on its rows (``FitError``,
-    ``NumericError``, ``DivergenceError``) aborts the estimate with an
-    ``EstimationError`` naming the held-out rows; a ``ValueError`` -- a
-    bad parameter -- passes through unchanged.
+    estimator refits.  A fit that fails on its rows (any ``RuntimeError``,
+    such as a ``FitError`` or a ``RecursionError``) aborts the estimate
+    with an ``EstimationError`` naming the held-out rows; a ``ValueError``
+    -- a bad parameter -- passes through unchanged.
     """
     try:
         model = trainer(ds.subset(train))
-    except (FitError, NumericError, DivergenceError) as exc:
+    except RuntimeError as exc:
         held_out = ", ".join(map(str, np.setdiff1d(np.arange(ds.n), train)))
         raise EstimationError(
             f"trainer failed with held-out rows (index {held_out}): {exc}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DecisionFunction
+from .base import DecisionFunction, freeze
 from .data import LabeledDataset, child_seed
 
 
@@ -65,6 +65,10 @@ class Poly2Expand(FeatureTransform):
 class Standardize(FeatureTransform):
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self):
+        freeze(self, "mean")
+        freeze(self, "std")
 
     @classmethod
     def fit(cls, ds: LabeledDataset) -> "Standardize":

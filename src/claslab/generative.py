@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix, point_or_batch
+from .base import DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
 from .oracle import LOG_2PI
@@ -36,6 +36,10 @@ class LdaModel(DecisionFunction):
     ridge: float
     weight: np.ndarray
     offset: float
+
+    def __post_init__(self):
+        for name in ("mean_pos", "mean_neg", "pooled_cov", "weight"):
+            freeze(self, name)
 
     @property
     def dim(self) -> int:
@@ -152,6 +156,8 @@ class ParzenModel(DecisionFunction):
             raise ValueError(f"bandwidth must be a real number, got {self.bandwidth!r}")
         if not (self.bandwidth > 0 and 0.0 < self.bandwidth * self.bandwidth < np.inf):
             raise ValueError("bandwidth must be positive with a positive finite square")
+        freeze(self, "points_pos")
+        freeze(self, "points_neg")
 
     @property
     def dim(self) -> int:

@@ -97,6 +97,10 @@ class KernelMachine(DecisionFunction):
     support_points: np.ndarray
     kernel: Kernel
 
+    def __post_init__(self):
+        freeze(self, "coefficients")
+        freeze(self, "support_points")
+
     @property
     def dim(self) -> int:
         return self.support_points.shape[1]

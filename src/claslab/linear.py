@@ -60,6 +60,9 @@ class LinearHypothesis(DecisionFunction):
 
     def __post_init__(self):
         freeze(self, "weight", ndmin=1)
+        for name in ("shift", "scale"):
+            if getattr(self, name) is not None:
+                freeze(self, name, ndmin=1)
 
     @property
     def dim(self) -> int:
@@ -117,7 +120,7 @@ def _ray_search(s, u, y, loss, lam, scale, v, dv, slope, step):
         ts = ts[ts > _MIN_STEP]
         with np.errstate(over="ignore", invalid="ignore"):  # such a step fails the test
             change = np.sum(loss.value(s + ts[:, None] * u, y) - base, axis=1)
-        change += lam * np.sum(((v + ts[:, None] * dv) / scale) ** 2 - w0 * w0, axis=1)
+            change += lam * np.sum(((v + ts[:, None] * dv) / scale) ** 2 - w0 * w0, axis=1)
         passed = change < _ARMIJO * ts * slope
         if passed.any():
             return ts[np.argmax(passed)]

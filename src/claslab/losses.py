@@ -85,32 +85,32 @@ class Loss:
     def positive(self) -> bool:
         return self._row[3]
 
-    def value(self, a, b):
+    def _derivative(self, order: int, a, b):
+        """The order-th derivative of the loss with respect to the score a."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b)
         if self.kind == "zero_one":
             out = np.where(sign_labels(a) != b, 1.0, 0.0)
         else:
-            out = self._row[0](b * a)
+            out = self._row[order](b * a)
+            if order:  # chain rule through m = b*a
+                out = b**order * out
         return out if out.ndim else float(out)
+
+    def value(self, a, b):
+        return self._derivative(0, a, b)
 
     def grad(self, a, b):
         """Derivative with respect to the score a (subgradient 0 at kinks)."""
         if not self.differentiable:
             raise ValueError("the 0-1 loss has no usable gradient")
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b)
-        out = b * self._row[1](b * a)
-        return out if out.ndim else float(out)
+        return self._derivative(1, a, b)
 
     def curvature(self, a, b):
         """Second derivative with respect to the score a, for smooth losses."""
         if not self.smooth:
             raise ValueError(f"the {self.kind} loss has no curvature")
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b)
-        out = b * b * self._row[2](b * a)
-        return out if out.ndim else float(out)
+        return self._derivative(2, a, b)
 
 
 def get_loss(name: str) -> Loss:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .base import DecisionFunction, as_matrix, point_or_batch
+from .base import DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LabeledDataset
 from .exceptions import DivergenceError
 from .linear import TrainInfo
@@ -51,6 +51,8 @@ class OneHiddenLayerNet(DecisionFunction):
             raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
+        for name in ("hidden_weights", "hidden_biases", "output_weights"):
+            freeze(self, name)
 
     @property
     def dim(self) -> int:

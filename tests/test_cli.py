@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,18 @@ class TestGen:
         assert "error" in capsys.readouterr().err
 
 
+    def test_out_under_a_regular_file_exits_2(self, workdir, capsys):
+        (workdir / "a_file").write_text("not a directory", encoding="utf-8")
+        cfg = {
+            "problem": str(workdir / "problem.json"),
+            "n": 10,
+            "out": str(workdir / "a_file" / "x.csv"),
+        }
+        assert run(workdir, "gen", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 class TestTrain:
     def test_report_matches_reloaded_model(self, workdir):
         gen_cfg = {
@@ -131,6 +144,20 @@ class TestTrain:
             "out": str(workdir / "m.json"),
         }
         assert run(workdir, "train", cfg) == 3
+
+    def test_tree_deeper_than_the_recursion_limit_exits_3(self, workdir, capsys):
+        # alternating labels on a line need a tree about as deep as the line is long
+        n = sys.getrecursionlimit() + 500
+        rows = "".join(f"{i}.0,{1 if i % 2 else -1}\n" for i in range(n))
+        (workdir / "line.csv").write_text("x,label\n" + rows, encoding="utf-8")
+        cfg = {
+            "dataset": str(workdir / "line.csv"),
+            "trainer": {"name": "tree", "params": {"max_depth": 2 * n}},
+            "out": str(workdir / "deep.json"),
+        }
+        assert run(workdir, "train", cfg) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_pipeline_transform_roundtrips(self, workdir):
         cfg = {
@@ -510,6 +537,37 @@ def test_wrong_json_type_exits_2(workdir, capsys, case):
     assert run(workdir, command, cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+# Each config breaks one usage rule of the driver: exit 2, naming the rule.
+# (command, keys to set, keys to drop, message); "@data" is a small CSV file.
+# gen and train start from the curve config, which has no "n".
+USAGE_ERROR_CONFIGS = {
+    "missing_required_key": ("gen", {}, (), "config needs 'n'"),
+    "unknown_parameters": ("eval", {"trainer": {"name": "lda", "params": {"ridge": 1.0}}}, (),
+                           "unknown parameters for trainer 'lda': ['ridge']"),
+    "bayes_without_a_problem": ("eval", {"dataset": "@data", "trainer": {"name": "bayes"}},
+                                ("problem", "n"), "trainer 'bayes' needs a problem, not a dataset"),
+    "negative_seed": ("eval", {"seed": -1}, (), "seed must be a nonnegative integer"),
+    "problem_and_dataset": ("eval", {"dataset": "@data"}, (),
+                            "config needs exactly one of 'problem' or 'dataset'"),
+    "neither_problem_nor_dataset": ("eval", {}, ("problem",),
+                                    "config needs exactly one of 'problem' or 'dataset'"),
+    "noise_without_a_dataset": ("curve", {"transform": "noise:1"}, (),
+                                "noise transforms need a dataset to apply to"),
+    "bayes_under_train": ("train", {"n": 20, "trainer": {"name": "bayes"}}, (),
+                          "the bayes oracle is not trainable; use it via bench"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERROR_CONFIGS))
+def test_usage_error_exits_2_naming_the_rule(workdir, capsys, case):
+    command, patch, drop, message = USAGE_ERROR_CONFIGS[case]
+    (workdir / "data.csv").write_text("x,label\n0.0,-1\n1.0,1\n2.0,-1\n3.0,1\n", encoding="utf-8")
+    patch = {k: str(workdir / "data.csv") if v == "@data" else v for k, v in patch.items()}
+    cfg = {k: v for k, v in {**small_config(workdir, command), **patch}.items() if k not in drop}
+    assert run(workdir, command, cfg) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # Each width or offset is no float, or would overflow or underflow to 0 when squared.

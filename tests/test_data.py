@@ -16,8 +16,11 @@ from claslab.data import (
     split_holdout,
 )
 from claslab.exceptions import DataFormatError
-from claslab.kernels import DissimilarityMap
+from claslab.features import Standardize
+from claslab.generative import LdaModel, ParzenModel
+from claslab.kernels import DissimilarityMap, Kernel, KernelMachine
 from claslab.linear import LinearHypothesis
+from claslab.neural import OneHiddenLayerNet
 from claslab.oracle import GaussianMixtureProblem
 
 
@@ -332,8 +335,27 @@ def test_child_seed_is_stable_and_distinct():
     (lambda a: FoldAssignment(a, 2), "fold_index", [1, 0]),
     (lambda a: BootstrapSample(a), "indices", [1, 0]),
     (lambda a: DissimilarityMap(a), "prototypes", [[1.0, 0.0]]),
+    (lambda a: LdaModel(0.5, 0.5, a, [0.0], [[1.0]], 0.0, [1.0], 0.0), "mean_pos", [1.0]),
+    (lambda a: LdaModel(0.5, 0.5, [0.0], a, [[1.0]], 0.0, [1.0], 0.0), "mean_neg", [1.0]),
+    (lambda a: LdaModel(0.5, 0.5, [0.0], [0.0], a, 0.0, [1.0], 0.0), "pooled_cov", [[1.0]]),
+    (lambda a: LdaModel(0.5, 0.5, [0.0], [0.0], [[1.0]], 0.0, a, 0.0), "weight", [1.0]),
+    (lambda a: ParzenModel(1.0, a, [[0.0]], 0.5, 0.5), "points_pos", [[1.0]]),
+    (lambda a: ParzenModel(1.0, [[0.0]], a, 0.5, 0.5), "points_neg", [[1.0]]),
+    (lambda a: KernelMachine(a, 0.0, [[0.0]], Kernel("linear")), "coefficients", [1.0]),
+    (lambda a: KernelMachine([1.0], 0.0, a, Kernel("linear")), "support_points", [[1.0]]),
+    (lambda a: OneHiddenLayerNet(a, [0.0], [0.0], 0.0), "hidden_weights", [[1.0]]),
+    (lambda a: OneHiddenLayerNet([[0.0]], a, [0.0], 0.0), "hidden_biases", [1.0]),
+    (lambda a: OneHiddenLayerNet([[0.0]], [0.0], a, 0.0), "output_weights", [1.0]),
+    (lambda a: Standardize(a, [1.0]), "mean", [1.0]),
+    (lambda a: Standardize([0.0], a), "std", [1.0]),
+    (lambda a: LinearHypothesis([1.0], 0.0, a, [1.0]), "shift", [1.0]),
+    (lambda a: LinearHypothesis([1.0], 0.0, [0.0], a), "scale", [1.0]),
 ], ids=["features", "labels", "mean_pos", "mean_neg", "cov_pos", "cov_neg", "weight",
-        "fold_index", "indices", "prototypes"])
+        "fold_index", "indices", "prototypes", "lda_mean_pos", "lda_mean_neg",
+        "lda_pooled_cov", "lda_weight", "parzen_points_pos", "parzen_points_neg",
+        "km_coefficients", "km_support_points", "net_hidden_weights", "net_hidden_biases",
+        "net_output_weights", "standardize_mean", "standardize_std", "linear_shift",
+        "linear_scale"])
 def test_constructors_freeze_their_own_copy(build, stored, caller):
     caller = np.array(caller)
     frozen = getattr(build(caller), stored)

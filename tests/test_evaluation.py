@@ -1,5 +1,7 @@
 """Error estimators and curves, checked against hand enumeration."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from claslab.generative import fit_lda
 from claslab.linear import train_least_squares
 from claslab.neighbors import fit_knn
 from claslab.oracle import equal_cov_problem, sample
+from claslab.trees import fit_tree
 
 THREE = LabeledDataset([[0.0], [1.0], [10.0]], [-1, -1, 1])
 
@@ -169,6 +172,16 @@ class TestCrossValidation:
         with pytest.raises(EstimationError, match=expected) as info:
             kfold_cv(needs_row_7, ds, 3, seed=5)
         assert isinstance(info.value.__cause__, FitError)
+
+    def test_tree_deeper_than_the_recursion_limit_names_its_held_out_rows(self):
+        # alternating labels on a line need a tree about as deep as its training rows
+        n = sys.getrecursionlimit() + 500
+        ds = LabeledDataset(np.arange(float(n))[:, None], [1, -1] * (n // 2) + [1] * (n % 2))
+        folds = make_folds(ds, 10, seed=3)
+        expected = f"index {', '.join(map(str, folds.test_indices(0)))}"
+        with pytest.raises(EstimationError, match=expected) as info:
+            kfold_cv(lambda d: fit_tree(d, max_depth=2 * n), ds, 10, seed=3)
+        assert isinstance(info.value.__cause__, RecursionError)
 
     def test_bad_parameter_passes_through_unwrapped(self):
         def bad_parameter(d):

@@ -1,5 +1,7 @@
 """Newton and gradient-descent ERM, logistic regression, and closed-form ridge."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,14 @@ class TestSolvers:
             assert (h.info.iterations, h.info.termination) == (iterations, termination)
             np.testing.assert_allclose(h.weight, weight, rtol=1e-9, atol=1e-9)
         assert compared >= 10
+
+    @pytest.mark.parametrize("loss", ["hinge", "exponential"])
+    def test_overflowing_steps_fail_the_search_without_a_warning(self, loss):
+        # a step of 1e300 overflows the penalty's square; it must fail quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = train_linear(SEP_1D, TrainConfig(loss=loss, step_size=1e300, max_iters=20))
+        assert np.all(np.isfinite(h.weight)) and np.isfinite(h.info.objective)
 
     def test_exhausted_search_stalls_at_the_last_accepted_iterate(self, monkeypatch):
         ds = sample(equal_cov_problem(0.5, [0.8], [-0.8]), 60, seed=4)
