@@ -22,6 +22,11 @@ class DecisionFunction:
     def decision_function(self, X) -> np.ndarray:
         raise NotImplementedError
 
+    def affine_form(self):
+        """(w, b) with decision_function(x) = w . x + b, or None when the
+        score is not affine (or the model cannot say)."""
+        return None
+
     def predict(self, X) -> np.ndarray:
         """Labels scored ``_BLOCK`` rows at a time, so memory does not grow with the batch."""
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -209,7 +209,10 @@ CURVES = {
 
 def _load_config(args):
     with open(args.config, encoding="utf-8") as fh:
-        cfg = _typed(json.load(fh), dict, "the config")
+        try:
+            cfg = _typed(json.load(fh), dict, "the config")
+        except RecursionError:  # a RuntimeError, yet the input is at fault
+            raise ValueError("the config is nested too deeply") from None
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:

@@ -21,7 +21,7 @@ from .data import (
     FoldAssignment, LabeledDataset, _holdout_rows, bootstrap_sample, child_seed, make_folds,
 )
 from .exceptions import EstimationError
-from .oracle import GaussianMixtureProblem, sample, true_error
+from .oracle import GaussianMixtureProblem, exact_form, sample, true_error
 from . import features as _features
 
 @dataclass(frozen=True)
@@ -191,10 +191,11 @@ def e632(trainer, ds: LabeledDataset, m_rounds: int, seed: int = 0) -> ErrorEsti
 
 
 def _oracle_fits(trainer, problem, n: int, repeats: int, n_test_mc: int, seed: int, key: int):
-    """Per repeat: (training set, fitted model, Monte-Carlo true error).
+    """Per repeat: (training set, fitted model, true error, whether it is exact).
 
     Each training set is a fresh two-class sample of size ``n`` (a
-    single-class draw is redrawn from a new derived seed).
+    single-class draw is redrawn from a new derived seed).  The true
+    error is exact for a model with an affine form, else Monte Carlo.
     """
     for rep in range(repeats):
         ds = _retry(
@@ -203,7 +204,13 @@ def _oracle_fits(trainer, problem, n: int, repeats: int, n_test_mc: int, seed: i
             f"a single-class sample of size {n}",
         )
         model = trainer(ds)
-        yield ds, model, true_error(model, problem, n_test_mc, child_seed(seed, key, rep, 999))
+        err = true_error(model, problem, n_test_mc, child_seed(seed, key, rep, 999))
+        yield ds, model, err, exact_form(model) is not None
+
+
+def _estimate_label(exact: list) -> str:
+    """A curve's ``estimate``: "exact" when every true error on it was."""
+    return "exact" if all(exact) else "mc"
 
 
 def _check_grid(values, name: str, repeats: int) -> list:
@@ -232,19 +239,21 @@ def learning_curve(
     """True-error and apparent-error curves against training-set size.
 
     Per size and repeat a fresh training set is sampled, the trainer is
-    fitted, and both the resubstitution error and a Monte-Carlo estimate
-    of the true error are recorded.  Returns (true_curve, apparent_curve).
+    fitted, and both the resubstitution error and the true error (exact
+    or Monte Carlo, see :func:`true_error`) are recorded.  Returns
+    (true_curve, apparent_curve).
     """
     if not isinstance(problem, GaussianMixtureProblem):
         raise ValueError("a learning curve needs a problem to sample, not a dataset")
     sizes = _check_grid(sizes, "sizes", repeats)
-    true_points, app_points = [], []
+    true_points, app_points, exact = [], [], []
     for si, n in enumerate(sizes):
         fits = _oracle_fits(trainer, problem, n, repeats, n_test_mc, seed, si)
-        errors = [(err, zero_one_error(model, ds)) for ds, model, err in fits]
-        true_points.append((n, *_aggregate([err for err, _ in errors])))
-        app_points.append((n, *_aggregate([app for _, app in errors])))
-    meta = {"trainer": trainer_name, "seed": seed, "estimate": "mc"}
+        errs, apps, flags = zip(*((err, zero_one_error(m, ds), ex) for ds, m, err, ex in fits))
+        true_points.append((n, *_aggregate(errs)))
+        app_points.append((n, *_aggregate(apps)))
+        exact += flags
+    meta = {"trainer": trainer_name, "seed": seed, "estimate": _estimate_label(exact)}
     return (
         Curve("learning_true", tuple(true_points), meta),
         Curve("learning_apparent", tuple(app_points), dict(meta)),
@@ -277,22 +286,22 @@ def feature_curve(
 ) -> Curve:
     """Error against feature count (informative dims first, then noise).
 
-    With a known problem as source the error per repeat is Monte-Carlo
-    true error of a model trained on a fresh sample (the problem itself
-    is marginalized or padded to each dimensionality).  With a plain
-    dataset the error is k-fold CV on the dataset with columns selected
-    or noise columns appended; metadata records which route was used.
+    With a known problem as source the error per repeat is the true
+    error (exact or Monte Carlo) of a model trained on a fresh sample
+    (the problem itself is marginalized or padded to each
+    dimensionality).  With a plain dataset the error is k-fold CV on the
+    dataset with columns selected or noise columns appended; metadata
+    records which route was used ("exact", "mc" or "cv").
     """
     dims = _check_grid(dims, "dims", repeats)
     oracle_mode = isinstance(source, GaussianMixtureProblem)
-    points = []
+    points, exact = [], []
     for di, d in enumerate(dims):
         if oracle_mode:
             prob_d = adapt_problem_dim(source, d)
-            vals = [
-                err for *_, err in
-                _oracle_fits(trainer, prob_d, n_train, repeats, n_test_mc, seed, di)
-            ]
+            fits = _oracle_fits(trainer, prob_d, n_train, repeats, n_test_mc, seed, di)
+            vals, flags = zip(*((err, ex) for *_, err, ex in fits))
+            exact += flags
         else:
             if d <= source.dim:
                 ds_d = _features.Select(tuple(range(d))).apply(source)
@@ -308,7 +317,7 @@ def feature_curve(
     meta = {
         "trainer": trainer_name,
         "seed": seed,
-        "estimate": "mc" if oracle_mode else "cv",
+        "estimate": _estimate_label(exact) if oracle_mode else "cv",
     }
     return Curve("feature", tuple(points), meta)
 

@@ -48,6 +48,11 @@ class FeatureTransform:
     def apply(self, ds: LabeledDataset) -> LabeledDataset:
         return LabeledDataset(self.map(ds.features), ds.labels)
 
+    def pull_back(self, w, b):
+        """(w', b') with w' . x + b' = w . map(x) + b, or None when the
+        map is not affine (or its input width is unknown)."""
+        return None
+
 
 def poly2_block(X: np.ndarray) -> np.ndarray:
     """All unique degree-2 monomials of the rows, cross terms * sqrt(2)."""
@@ -79,6 +84,10 @@ class Standardize(FeatureTransform):
 
     def map(self, X):
         return (X - self.mean) / self.std
+
+    def pull_back(self, w, b):
+        w = w / self.std
+        return w, b - w @ self.mean
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,14 @@ class PipelineClassifier(DecisionFunction):
 
     def decision_function(self, X):
         return self.model.decision_function(self._map(X))
+
+    def affine_form(self):
+        """The model's form pulled back through the steps, last step first."""
+        form = self.model.affine_form() if isinstance(self.model, DecisionFunction) else None
+        for step in reversed(self.transforms):
+            if form is not None:
+                form = step.pull_back(*form)
+        return form
 
 
 def split_transform_spec(spec: str, seed: int = 0):

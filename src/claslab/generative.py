@@ -49,6 +49,9 @@ class LdaModel(DecisionFunction):
         X = as_matrix(X, self.dim)
         return X @ self.weight + self.offset
 
+    def affine_form(self):
+        return self.weight, self.offset
+
 
 def _positive_rows(ds):
     pos = ds.labels == 1

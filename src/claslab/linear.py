@@ -72,6 +72,9 @@ class LinearHypothesis(DecisionFunction):
         X = as_matrix(X, self.dim)
         return X @ self.weight + self.bias
 
+    def affine_form(self):
+        return self.weight, self.bias
+
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -3,9 +3,10 @@
 A problem is one Gaussian per class plus a class prior.  Because the
 joint density is known in closed form we can sample labeled data, make
 optimal (minimum-error) decisions, and compute the minimum achievable
-error rate -- in closed form for d = 1, by Monte Carlo otherwise.  That
-gives every classifier in the package an exact reference to be tested
-against.
+error rate -- in closed form for d = 1 or equal covariances, by Monte
+Carlo otherwise.  That gives every classifier in the package an exact
+reference to be tested against.  An affine rule's true error is exact
+too: under each class its score is a Gaussian variable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import _BLOCK, DecisionFunction, as_matrix, freeze, point_or_batch
+from .base import _BLOCK, DecisionFunction, as_matrix, freeze, point_or_batch, sign_labels
 from .data import LabeledDataset
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -179,6 +180,18 @@ def _closed_form_bayes_error_1d(problem):
     return float(np.minimum(pp * np.diff(ndtr(z_pos)), pn * np.diff(ndtr(z_neg))).sum())
 
 
+def _exact_bayes_error(problem):
+    """The error of the equal-covariance Bayes rule, an affine rule in any d."""
+    if not np.array_equal(problem.cov_pos, problem.cov_neg):
+        raise ValueError("exact needs equal class covariances")
+    pp, pn = problem.prior_pos, problem.prior_neg
+    if pp == 0.0 or pn == 0.0:
+        return 0.0
+    mp, mn = problem.mean_pos, problem.mean_neg
+    w = np.linalg.solve(problem.cov_pos, mp - mn)
+    return _affine_error(problem, w, np.log(pp / pn) - 0.5 * w @ (mp + mn))
+
+
 def bayes_error(
     problem: GaussianMixtureProblem,
     method: str = "closed_form_1d",
@@ -189,24 +202,68 @@ def bayes_error(
 
     ``closed_form_1d`` integrates the pointwise minimum of the two
     weighted densities between their crossing points (d = 1 only);
-    ``monte_carlo`` counts disagreements between sampled labels and the
-    optimal rule.
+    ``exact`` scores the Bayes rule's affine form (equal covariances
+    only, any d); ``monte_carlo`` counts disagreements between sampled
+    labels and the optimal rule.
     """
     if method == "closed_form_1d":
         if problem.dim != 1:
             raise ValueError("closed_form_1d is only available for d = 1")
         return _closed_form_bayes_error_1d(problem)
+    if method == "exact":
+        return _exact_bayes_error(problem)
     if method == "monte_carlo":
         return true_error(BayesClassifier(problem), problem, n_mc, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
+def exact_form(classifier):
+    """The (w, b) whose error :func:`true_error` computes rather than samples.
+
+    That is the classifier's ``affine_form()``, when it is a
+    :class:`DecisionFunction` with one and every entry is finite; else None.
+    """
+    form = classifier.affine_form() if isinstance(classifier, DecisionFunction) else None
+    if form is None or not np.isfinite(np.append(*form)).all():
+        return None
+    return form
+
+
+def _affine_error(problem, w, b) -> float:
+    """The error of sign(w . x + b): under class c the score is
+    N(w . mean_c + b, w' cov_c w), so each class adds prior_c Phi(-c m / s).
+
+    (w, b) is first divided by its largest absolute entry, which keeps
+    every sign and keeps w' cov w finite for huge finite weights.  A
+    zero spread leaves the score at its mean, labelled by the tie rule.
+    """
+    top = np.abs(np.append(w, b)).max() or 1.0
+    w, b = np.asarray(w, dtype=float) / top, b / top
+    error = 0.0
+    for label, prior, mean, cov in (
+        (1, problem.prior_pos, problem.mean_pos, problem.cov_pos),
+        (-1, problem.prior_neg, problem.mean_neg, problem.cov_neg),
+    ):
+        if prior == 0.0:
+            continue
+        m, s = w @ mean + b, np.linalg.norm(w @ np.linalg.cholesky(cov))
+        miss = ndtr(-label * m / s) if s > 0.0 else sign_labels(m) != label
+        error += prior * float(miss)
+    return error
+
+
 def true_error(
     classifier, problem: GaussianMixtureProblem, n_mc: int, seed: int = 0
 ) -> float:
-    """Monte-Carlo estimate of the misclassified probability mass."""
+    """The misclassified probability mass: exact for a classifier with an
+    :func:`exact_form`, else a Monte-Carlo estimate from ``n_mc`` draws."""
     if n_mc < 1:
         raise ValueError("n_mc must be at least 1")
+    form = exact_form(classifier)
+    if form is not None:
+        if len(form[0]) != problem.dim:  # the message predict would give
+            raise ValueError(f"expected {len(form[0])}-dimensional inputs, got {problem.dim}")
+        return _affine_error(problem, *form)
     mistakes = sum(
         np.count_nonzero(classifier.predict(feats) != labels)
         for feats, labels in _draws(problem, n_mc, seed, _BLOCK)

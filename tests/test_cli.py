@@ -539,6 +539,15 @@ def test_wrong_json_type_exits_2(workdir, capsys, case):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+def test_a_deeply_nested_config_exits_2(workdir, capsys):
+    # json.load gives up with a RecursionError, a RuntimeError; the input is at fault
+    path = workdir / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["eval", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 # Each config breaks one usage rule of the driver: exit 2, naming the rule.
 # (command, keys to set, keys to drop, message); "@data" is a small CSV file.
 # gen and train start from the curve config, which has no "n".

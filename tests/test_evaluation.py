@@ -21,7 +21,7 @@ from claslab.evaluation import (
     zero_one_error,
 )
 from claslab.exceptions import EstimationError, FitError
-from claslab.generative import fit_lda
+from claslab.generative import fit_lda, fit_parzen
 from claslab.linear import train_least_squares
 from claslab.neighbors import fit_knn
 from claslab.oracle import equal_cov_problem, sample
@@ -306,6 +306,14 @@ class TestCurves:
         assert len(curve.points) == 1
         d, mean, std, reps = curve.points[0]
         assert d == 2 and reps == 4 and std >= 0.0
+        assert curve.metadata["estimate"] == "exact"
+
+    def test_feature_curve_of_a_rule_without_a_form_is_mc(self):
+        problem = equal_cov_problem(0.5, [1.0, 0.0], [-1.0, 0.0])
+        curve = feature_curve(
+            lambda ds: fit_parzen(ds, 0.7), problem, dims=[1, 2], repeats=2, seed=20,
+            n_train=50, n_test_mc=2000,
+        )
         assert curve.metadata["estimate"] == "mc"
 
     def test_feature_curve_on_dataset_uses_cv(self):

@@ -228,6 +228,24 @@ class TestPipeline:
         test = sample(problem, 200, seed=11)
         assert np.mean(model.predict(test.features) != test.labels) < 0.1
 
+    def test_standardize_pipelines_pull_their_model_form_back(self):
+        problem = equal_cov_problem(0.4, [3.0, 1.0, 0.0], [-3.0, 0.0, 2.0])
+        train, test = sample(problem, 100, seed=10), sample(problem, 50, seed=11)
+        for spec, fit in [("standardize", fit_lda), ("standardize+standardize", fit_lda),
+                          ("standardize", train_least_squares)]:
+            model = make_pipeline_trainer(parse_transform_spec(spec), fit)(train)
+            w, b = model.affine_form()
+            np.testing.assert_allclose(
+                test.features @ w + b, model.decision_function(test.features),
+                rtol=1e-12, atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("spec", ["select:0,1", "poly2", "standardize+poly2"])
+    def test_other_steps_have_no_form(self, spec):
+        train = sample(equal_cov_problem(0.5, [1.0, 0.5], [-1.0, 0.0]), 60, seed=12)
+        model = make_pipeline_trainer(parse_transform_spec(spec), fit_lda)(train)
+        assert model.affine_form() is None
+
     def test_pipeline_rejects_noise(self):
         with pytest.raises(ValueError, match="noise"):
             make_pipeline_trainer(parse_transform_spec("noise:2"), fit_lda)

@@ -8,6 +8,8 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from claslab.base import sign_labels
+from claslab.generative import fit_lda
+from claslab.linear import LinearHypothesis
 from claslab.oracle import (
     BayesClassifier,
     GaussianMixtureProblem,
@@ -17,6 +19,7 @@ from claslab.oracle import (
     bayes_classify,
     bayes_error,
     equal_cov_problem,
+    exact_form,
     problem_from_json,
     problem_to_json,
     sample,
@@ -41,6 +44,19 @@ class _Flipped:
 
     def predict(self, X):
         return -self.inner.predict(X)
+
+
+class _PredictOnly:
+    """A model seen only through ``predict``, so true_error must sample."""
+
+    def __init__(self, model):
+        self.predict = model.predict
+
+
+def random_problem(rng, d, prior):
+    """Unequal random covariances A A' + 0.1 I and standard-normal means."""
+    covs = [a @ a.T + 0.1 * np.eye(d) for a in rng.normal(size=(2, d, d))]
+    return GaussianMixtureProblem(prior, rng.normal(size=d), rng.normal(size=d), *covs)
 
 
 class TestProblemValidation:
@@ -243,6 +259,41 @@ class TestBayesError:
     def test_degenerate_cases_equal_the_probing_reference(self, prob):
         assert bayes_error(prob, "closed_form_1d") == reference_bayes_error_1d(prob)
 
+    def test_exact_equals_the_closed_form_in_1d(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            prior = rng.uniform(0.01, 0.99)
+            mp, mn = rng.uniform(-3.0, 3.0, size=2)
+            prob = equal_cov_problem(prior, [mp], [mn], [[rng.uniform(0.1, 4.0)]])
+            assert abs(bayes_error(prob, "exact") - bayes_error(prob)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            equal_cov_problem(0.0, [0.0], [1.0]),
+            equal_cov_problem(1.0, [0.0], [1.0]),
+            equal_cov_problem(0.5, [0.3], [0.3]),
+            equal_cov_problem(0.2, [0.3], [0.3], [[2.0]]),
+        ],
+        ids=["prior_0", "prior_1", "identical", "identical_unequal_priors"],
+    )
+    def test_exact_equals_the_closed_form_in_degenerate_cases(self, prob):
+        assert abs(bayes_error(prob, "exact") - bayes_error(prob)) <= 1e-12
+
+    def test_exact_agrees_with_monte_carlo_in_4d(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(4, 4))
+        prob = equal_cov_problem(0.3, rng.normal(size=4), rng.normal(size=4), a @ a.T + np.eye(4))
+        n_mc = 200_000
+        eps = bayes_error(prob, "exact")
+        mc = bayes_error(prob, "monte_carlo", n_mc=n_mc, seed=9)
+        assert abs(mc - eps) < 4 * np.sqrt(eps * (1 - eps) / n_mc)
+
+    def test_exact_needs_equal_covariances(self):
+        prob = GaussianMixtureProblem(0.5, [1.0], [-1.0], [[1.0]], [[2.0]])
+        with pytest.raises(ValueError, match="exact needs equal class covariances"):
+            bayes_error(prob, "exact")
+
     def test_monte_carlo_agrees_with_closed_form(self):
         n_mc = 200_000
         eps = bayes_error(SYMMETRIC, "closed_form_1d")
@@ -305,3 +356,65 @@ class TestTrueError:
         np.testing.assert_array_equal(
             sign_labels(clf.decision_function(xs)), bayes_classify(SYMMETRIC, xs)
         )
+
+
+class TestExactTrueError:
+    def test_agrees_with_monte_carlo_of_the_predict_only_rule(self):
+        rng = np.random.default_rng(20)
+        n_mc = 20_000
+        for i in range(200):
+            d = int(rng.integers(1, 9))
+            prior = [0.0, 1.0][i] if i < 2 else float(rng.uniform())
+            prob = random_problem(rng, d, prior)
+            rule = LinearHypothesis(rng.normal(size=d), float(rng.normal()))
+            eps = true_error(rule, prob, n_mc)
+            mc = true_error(_PredictOnly(rule), prob, n_mc, seed=i)
+            assert abs(mc - eps) <= 4 * np.sqrt(eps * (1 - eps) / n_mc), (i, eps, mc)
+
+    @pytest.mark.parametrize("bias, error", [(0.0, 0.7), (2.5, 0.7), (-1e-300, 0.3)])
+    def test_a_zero_weight_rule_is_decided_by_its_bias(self, bias, error):
+        prob = GaussianMixtureProblem(0.3, [1.0, 2.0], [-1.0, 0.0], np.eye(2), 2 * np.eye(2))
+        assert true_error(LinearHypothesis([0.0, 0.0], bias), prob, 1) == error
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_a_class_with_prior_0_adds_nothing(self, prior):
+        prob = GaussianMixtureProblem(prior, [1.0], [-1.0], [[4.0]], [[1.0]])
+        rule = LinearHypothesis([1.0], 0.0)
+        # the other class alone: its mean lies 1 / 2 or 1 / 1 sigma from the boundary
+        expected = ndtr(-0.5) if prior == 1.0 else PHI_MINUS_1
+        assert true_error(rule, prob, 1) == pytest.approx(expected, abs=1e-15)
+
+    def test_huge_finite_weights_keep_their_error(self):
+        prob = GaussianMixtureProblem(
+            0.4, [1.0, 0.0], [-1.0, 0.5], np.eye(2), [[2.0, 0.3], [0.3, 1.0]]
+        )
+        small = true_error(LinearHypothesis([1.0, -2.0], 0.5), prob, 1)
+        huge = true_error(LinearHypothesis([1e200, -2e200], 0.5e200), prob, 1)
+        assert 0.0 < small < 1.0
+        assert huge == pytest.approx(small, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "weight, bias", [([np.inf, 1.0], 0.25), ([np.nan, 1.0], 0.25), ([1.0, 1.0], np.nan)]
+    )
+    def test_a_non_finite_rule_is_sampled_like_its_predict(self, weight, bias):
+        prob = equal_cov_problem(0.5, [1.0, 0.5], [-1.0, -0.5])
+        rule = LinearHypothesis(weight, bias)
+        assert exact_form(rule) is None
+        sampled = true_error(_PredictOnly(rule), prob, 5000, seed=3)
+        assert true_error(rule, prob, 5000, seed=3) == sampled
+
+    def test_a_rule_of_another_width_is_rejected_as_predict_rejects_it(self):
+        rule = fit_lda(sample(equal_cov_problem(0.5, [1.0, 0.0], [-1.0, 0.0]), 40, seed=2))
+        problem = equal_cov_problem(0.5, [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+        for model in (rule, _PredictOnly(rule)):
+            with pytest.raises(ValueError, match="expected 2-dimensional inputs, got 3"):
+                true_error(model, problem, 10)
+
+    def test_only_decision_functions_have_a_form(self):
+        ds = sample(SYMMETRIC, 40, seed=2)
+        lda = fit_lda(ds)
+        assert exact_form(_PredictOnly(lda)) is None
+        assert exact_form(BayesClassifier(SYMMETRIC)) is None
+        w, b = exact_form(lda)
+        xs = np.linspace(-3.0, 3.0, 7)[:, None]
+        np.testing.assert_allclose(xs @ w + b, lda.decision_function(xs), rtol=1e-13)

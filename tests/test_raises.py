@@ -144,7 +144,7 @@ CASES = {
         ValueError, "means must be vectors of equal dimension",
     ),
     "oracle_unknown_method": (
-        lambda _: bayes_error(PROBLEM, "exact"), ValueError, "unknown method 'exact'",
+        lambda _: bayes_error(PROBLEM, "quadrature"), ValueError, "unknown method 'quadrature'",
     ),
     "oracle_no_draws": (
         lambda _: true_error(BayesClassifier(PROBLEM), PROBLEM, 0), ValueError,
