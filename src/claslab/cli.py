@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import math
 import sys
-import typing
 from pathlib import Path
 
 from . import evaluation
-from .data import child_seed, load_csv, save_csv
+from .data import REQUIRED, _get, _typed, child_seed, load_csv, read_json, save_csv
 from .ensembles import TreeConfig, adaboost, bagging, random_subspace
 from .features import make_pipeline_trainer, split_transform_spec
 from .generative import fit_lda, fit_parzen
@@ -45,34 +42,7 @@ _RUNTIME_ERRORS = (RuntimeError, MemoryError)
 # independent streams of the one config seed
 _DATA, _TRAIN, _EST, _CURVE = 0, 1, 2, 3
 
-REQUIRED = object()  # schema default of a parameter the config must give
-_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "list",
-               dict: "object"}
 _KWARGS = {"lambda": "lam"}  # config key -> keyword, where the key is reserved in Python
-
-
-def _typed(value, type_, what):
-    """``value`` checked against a schema type; a float must be finite and accepts an integer."""
-    if typing.get_origin(type_) is list:
-        (item,) = typing.get_args(type_)
-        return [_typed(v, item, f"each of {what}") for v in _typed(value, list, what)]
-    if type_ is float and type(value) is int:
-        if abs(value) > sys.float_info.max:
-            raise ValueError(f"{what} lies beyond the range of a float")
-        return float(value)
-    if type_ is float and isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
-    if isinstance(value, type_) and not (type_ is int and isinstance(value, bool)):
-        return value
-    raise ValueError(f"{what} must be a JSON {_JSON_TYPES[type_]}, got {value!r}")
-
-
-def _get(obj, key, type_, default=REQUIRED, what="config"):
-    if key in obj:
-        return _typed(obj[key], type_, f"{what} {key!r}")
-    if default is REQUIRED:
-        raise ValueError(f"{what} needs {key!r}")
-    return default
 
 
 def _choose(table, name, params, what):
@@ -208,11 +178,7 @@ CURVES = {
 
 
 def _load_config(args):
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            cfg = _typed(json.load(fh), dict, "the config")
-        except RecursionError:  # a RuntimeError, yet the input is at fault
-            raise ValueError("the config is nested too deeply") from None
+    cfg = _typed(read_json(args.config), dict, "the config")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.out is not None:

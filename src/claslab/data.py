@@ -1,14 +1,18 @@
-"""Datasets with two-class labels, CSV ingestion, splits, folds, bootstraps.
+"""Datasets with two-class labels, CSV and JSON ingestion, splits, folds, bootstraps.
 
 A dataset is an immutable pair of an ``(N, d)`` feature matrix and a
 length-``N`` label vector with entries in ``{-1, +1}``.  All resampling
 helpers are pure functions of their inputs plus an integer seed, so any
-two runs with the same seed produce identical partitions.
+two runs with the same seed produce identical partitions.  Every JSON file
+is read by :func:`read_json`, and its fields checked by :func:`_get`.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +21,42 @@ from .base import freeze
 from .exceptions import DataFormatError
 
 LABEL_STRINGS = {"-1": -1, "1": 1, "+1": 1}
+REQUIRED = object()  # schema default of a field the file must give
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", list: "list",
+               dict: "object"}
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # a RuntimeError, yet the input is at fault
+            raise ValueError(f"{path} is nested too deeply") from None
+
+
+def _typed(value, type_, what):
+    """``value`` checked against a schema type; a float must be finite and accepts an integer."""
+    if typing.get_origin(type_) is list:
+        (item,) = typing.get_args(type_)
+        return [_typed(v, item, f"each of {what}") for v in _typed(value, list, what)]
+    if type_ is float and type(value) is int:
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{what} lies beyond the range of a float")
+        return float(value)
+    if type_ is float and isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
+    if isinstance(value, type_) and not (type_ is int and isinstance(value, bool)):
+        return value
+    raise ValueError(f"{what} must be a JSON {_JSON_TYPES[type_]}, got {value!r}")
+
+
+def _get(obj, key, type_, default=REQUIRED, what="config"):
+    if key in obj:
+        return _typed(obj[key], type_, f"{what} {key!r}")
+    if default is REQUIRED:
+        raise ValueError(f"{what} needs {key!r}")
+    return default
 
 
 def child_seed(seed: int, *path: int) -> int:

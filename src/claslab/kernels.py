@@ -35,11 +35,16 @@ def _rbf(D, sigma2):  # exp(-D / sigma2) in D's own buffer: negate, divide, expo
     return np.exp(np.divide(np.negative(D, out=D), sigma2, out=D), out=D)
 
 
+# kind -> (matrix(kernel, Z, X), the width or offset check as (broken(kernel), what it
+# needs), or None); a NaN breaks no check, so that its kernel fails the fit's finiteness check
 KERNEL_KINDS = {
-    "linear": lambda k, Z, X: Z @ X.T,
-    "poly2_homogeneous": lambda k, Z, X: (Z @ X.T) ** 2,
-    "poly2_inhomogeneous": lambda k, Z, X: (Z @ X.T + k.c**2) ** 2,
-    "rbf": lambda k, Z, X: _rbf(cdist(Z, X, "sqeuclidean"), k.sigma**2),
+    "linear": (lambda k, Z, X: Z @ X.T, None),
+    "poly2_homogeneous": (lambda k, Z, X: (Z @ X.T) ** 2, None),
+    "poly2_inhomogeneous": (lambda k, Z, X: (Z @ X.T + k.c**2) ** 2,
+                            (lambda k: k.c * k.c == np.inf, "c whose square is finite")),
+    "rbf": (lambda k, Z, X: _rbf(cdist(Z, X, "sqeuclidean"), k.sigma**2), (
+        lambda k: k.sigma <= 0 or k.sigma * k.sigma in (0.0, np.inf),
+        "sigma > 0 whose square is positive and finite")),
 }
 
 
@@ -60,11 +65,9 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}")
-        # a NaN passes, so that its kernel fails the fit's finiteness check
-        if self.kind == "rbf" and (self.sigma <= 0 or self.sigma * self.sigma in (0.0, np.inf)):
-            raise ValueError("rbf kernel needs sigma > 0 whose square is positive and finite")
-        if self.kind == "poly2_inhomogeneous" and self.c * self.c == np.inf:
-            raise ValueError("poly2_inhomogeneous kernel needs c whose square is finite")
+        check = KERNEL_KINDS[self.kind][1]
+        if check and check[0](self):
+            raise ValueError(f"{self.kind} kernel needs {check[1]}")
 
     def matrix(self, Z, X) -> np.ndarray:
         """Cross-kernel matrix with entries k(Z[i], X[j])."""
@@ -72,7 +75,7 @@ class Kernel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if Z.shape[1] != X.shape[1]:
             raise ValueError("kernel arguments must have equal dimension")
-        return KERNEL_KINDS[self.kind](self, Z, X)
+        return KERNEL_KINDS[self.kind][0](self, Z, X)
 
 
 def kernel_eval(kernel: Kernel, z, x) -> float:

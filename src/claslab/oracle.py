@@ -11,14 +11,13 @@ too: under each class its score is a Gaussian variable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .base import _BLOCK, DecisionFunction, as_matrix, freeze, point_or_batch, sign_labels
-from .data import LabeledDataset
+from .data import LabeledDataset, _get, _typed, read_json
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -261,8 +260,7 @@ def true_error(
         raise ValueError("n_mc must be at least 1")
     form = exact_form(classifier)
     if form is not None:
-        if len(form[0]) != problem.dim:  # the message predict would give
-            raise ValueError(f"expected {len(form[0])}-dimensional inputs, got {problem.dim}")
+        as_matrix(problem.mean_pos, len(form[0]))  # the width check predict would make
         return _affine_error(problem, *form)
     mistakes = sum(
         np.count_nonzero(classifier.predict(feats) != labels)
@@ -271,29 +269,21 @@ def true_error(
     return mistakes / n_mc
 
 
+# the problem file: every field is required and holds this JSON type
+PROBLEM_FIELDS = {"prior_pos": float, "mean_pos": list[float], "mean_neg": list[float],
+                  "cov_pos": list[list[float]], "cov_neg": list[list[float]]}
+
+
 def problem_to_json(problem: GaussianMixtureProblem) -> dict:
-    return {
-        "prior_pos": problem.prior_pos,
-        "mean_pos": problem.mean_pos.tolist(),
-        "mean_neg": problem.mean_neg.tolist(),
-        "cov_pos": problem.cov_pos.tolist(),
-        "cov_neg": problem.cov_neg.tolist(),
-    }
+    return {key: np.asarray(getattr(problem, key)).tolist() for key in PROBLEM_FIELDS}
 
 
-def problem_from_json(obj: dict) -> GaussianMixtureProblem:
-    try:
-        return GaussianMixtureProblem(
-            float(obj["prior_pos"]),
-            obj["mean_pos"],
-            obj["mean_neg"],
-            obj["cov_pos"],
-            obj["cov_neg"],
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem file is missing field {exc.args[0]!r}") from None
+def problem_from_json(obj) -> GaussianMixtureProblem:
+    obj = _typed(obj, dict, "the problem file")
+    return GaussianMixtureProblem(
+        *(_get(obj, key, type_, what="problem file") for key, type_ in PROBLEM_FIELDS.items())
+    )
 
 
 def load_problem(path) -> GaussianMixtureProblem:
-    with open(path, encoding="utf-8") as fh:
-        return problem_from_json(json.load(fh))
+    return problem_from_json(read_json(path))

@@ -16,7 +16,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, read_json
 from .ensembles import BoostModel, BoostRound, Ensemble
 from .features import PipelineClassifier, Poly2Expand, Select, Standardize
 from .generative import LdaModel, ParzenModel
@@ -149,5 +149,4 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

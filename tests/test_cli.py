@@ -20,7 +20,7 @@ from claslab.generative import fit_lda
 from claslab.kernels import Kernel
 from claslab.linear import TrainConfig, train_least_squares, train_logistic
 from claslab.neural import NetTrainConfig
-from claslab.oracle import bayes_error, equal_cov_problem, problem_to_json, sample
+from claslab.oracle import PROBLEM_FIELDS, bayes_error, equal_cov_problem, problem_to_json, sample
 from claslab.serialize import load_model
 from claslab.trees import fit_tree
 
@@ -548,6 +548,48 @@ def test_a_deeply_nested_config_exits_2(workdir, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+def problem_config(workdir, command, problem):
+    """A valid, cheap config for gen, eval, bench or curve that reads ``problem``."""
+    path = workdir / "tried_problem.json"
+    path.write_text(json.dumps(problem), encoding="utf-8")
+    return {**small_config(workdir, command), "n": 20, "problem": str(path)}
+
+
+# Each problem file is wrong in one JSON type, the whole file included: all must
+# exit 2 with a one-line message naming the field.  (patch or whole file, field)
+BAD_PROBLEMS = {
+    "null_prior": ({"prior_pos": None}, "'prior_pos'"),
+    "list_prior": ({"prior_pos": [0.5]}, "'prior_pos'"),
+    "string_prior": ({"prior_pos": "0.5"}, "'prior_pos'"),
+    "boolean_prior": ({"prior_pos": True}, "'prior_pos'"),
+    "object_mean": ({"mean_pos": {"a": 1}}, "'mean_pos'"),
+    "string_in_mean": ({"mean_pos": ["1"]}, "'mean_pos'"),
+    "bare_number_mean": ({"mean_pos": 1.0}, "'mean_pos'"),
+    "object_cov": ({"cov_pos": {"a": 1}}, "'cov_pos'"),
+    "boolean_in_cov": ({"cov_pos": [[True]]}, "'cov_pos'"),
+    "top_level_list": ([PROBLEM], "the problem file"),
+}
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+@pytest.mark.parametrize("case", list(BAD_PROBLEMS))
+def test_wrong_json_type_in_the_problem_file_exits_2(workdir, capsys, case, command):
+    patch, field = BAD_PROBLEMS[case]
+    problem = patch if isinstance(patch, list) else {**PROBLEM, **patch}
+    assert run(workdir, command, problem_config(workdir, command, problem)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+def test_a_deeply_nested_problem_file_exits_2(workdir, capsys, command):
+    cfg = problem_config(workdir, command, PROBLEM)
+    Path(cfg["problem"]).write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run(workdir, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 # Each config breaks one usage rule of the driver: exit 2, naming the rule.
 # (command, keys to set, keys to drop, message); "@data" is a small CSV file.
 # gen and train start from the curve config, which has no "n".
@@ -703,22 +745,37 @@ def hypothesis_dir(tmp_path_factory):
     return workdir
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(data=st.data(), command=st.sampled_from(["eval", "bench", "curve"]))
-def test_any_wrong_json_type_keeps_the_exit_code_contract(hypothesis_dir, data, command):
-    cfg = small_config(hypothesis_dir, command)
-    path = data.draw(st.sampled_from(list(_json_paths(cfg))))
-    old = cfg
+def one_value_swapped(data, value):
+    """``value`` with one value in it, itself included, swapped for one of another JSON type."""
+    path = data.draw(st.sampled_from(list(_json_paths(value))))
+    old = value
     for key in path:
         old = old[key]
     # a value of another JSON type, so no size or iteration count can grow
     new = data.draw(_JSON_VALUES.filter(lambda v: type(v) is not type(old)))
-    assert run(hypothesis_dir, command, _replaced(cfg, path, new)) in (0, 2, 3)
+    return _replaced(value, path, new)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(["eval", "bench", "curve"]))
+def test_any_wrong_json_type_keeps_the_exit_code_contract(hypothesis_dir, data, command):
+    cfg = one_value_swapped(data, small_config(hypothesis_dir, command))
+    assert run(hypothesis_dir, command, cfg) in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(["gen", "eval", "bench", "curve"]))
+def test_any_wrong_json_type_in_the_problem_file_keeps_the_exit_code_contract(
+    hypothesis_dir, data, command
+):
+    cfg = problem_config(hypothesis_dir, command, one_value_swapped(data, PROBLEM))
+    assert run(hypothesis_dir, command, cfg) in (0, 2, 3)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
-              list[int]: "list of integers"}
+              list[int]: "list of integers", list[float]: "list of numbers",
+              list[list[float]]: "list of lists of numbers"}
 
 
 def readme_table(heading):
@@ -738,13 +795,17 @@ def schema_text(schema):
 
 
 @pytest.mark.parametrize(
-    "heading, table", [("Trainers", TRAINERS), ("Estimators", ESTIMATORS), ("Curves", CURVES)]
+    "heading, table",
+    [("Trainers", TRAINERS), ("Estimators", ESTIMATORS), ("Curves", CURVES),
+     ("Problem file", PROBLEM_FIELDS)],
 )
 def test_readme_lists_every_registry_entry_with_its_schema(heading, table):
     documented = readme_table(heading)
     assert list(documented) == list(table)
-    for name, (schema, _) in table.items():
-        assert documented[name] == schema_text(schema), name
+    for name, entry in table.items():
+        # a registry entry is (schema, builder); a problem field is its type
+        text = schema_text(entry[0]) if isinstance(entry, tuple) else TYPE_NAMES[entry]
+        assert documented[name] == text, name
 
 
 def test_readme_lists_every_transform():

@@ -2,8 +2,9 @@
 no module-level name is assigned that no module of the package reads, the
 package defines no function, class or method that no source of the repo
 reads, no module keeps two tables keyed by the same names, no
-``__post_init__`` stores a field from a value that never reads it, and no
-code but ``base.freeze`` calls ``setflags``."""
+``__post_init__`` stores a field from a value that never reads it, no
+code but ``base.freeze`` calls ``setflags``, and no module but ``data``
+parses JSON."""
 
 import ast
 import itertools
@@ -266,3 +267,24 @@ def test_the_scan_sees_a_setflags_call_outside_freeze():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_freeze_calls_setflags(path):
     assert setflags_outside_freeze(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def json_parses_outside_data(source: str, module: str) -> list:
+    """``json.load`` and ``json.loads`` calls in ``source`` unless it is ``data``:
+    one reader, ``data.read_json``, parses every JSON file the package reads."""
+    calls = [
+        n for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and ast.unparse(n.func) in ("json.load", "json.loads")
+    ]
+    return [] if module == "data" else [f"{module} line {n.lineno}" for n in calls]
+
+
+def test_the_scan_sees_a_json_parse_outside_data():
+    source = "import json\njson.dump(a, fh)\nb = json.load(fh)\nf(json.loads(s))\n"
+    assert json_parses_outside_data(source, "data") == []
+    assert json_parses_outside_data(source, "oracle") == ["oracle line 3", "oracle line 4"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_data_parses_json(path):
+    assert json_parses_outside_data(path.read_text(encoding="utf-8"), path.stem) == []

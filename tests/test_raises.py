@@ -152,7 +152,7 @@ CASES = {
     ),
     "oracle_missing_field": (
         lambda _: problem_from_json({"prior_pos": 0.5}), ValueError,
-        "problem file is missing field 'mean_pos'",
+        "problem file needs 'mean_pos'",
     ),
     "serialize_unknown_type": (
         lambda _: model_to_dict(DS), ValueError, "cannot serialize model of type LabeledDataset",

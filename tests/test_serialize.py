@@ -123,3 +123,11 @@ def test_unknown_kind_rejected():
         model_from_dict({"kind": "mystery"})
     with pytest.raises(ValueError, match="unknown model kind"):
         model_from_dict({"kind": ["lda"]})
+
+
+def test_a_deeply_nested_model_file_is_a_value_error(tmp_path):
+    # json.load gives up with a RecursionError, a RuntimeError; the file is at fault
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ValueError, match="is nested too deeply"):
+        load_model(path)
