@@ -9,6 +9,10 @@ package (loss kinks, vote ties, leaf-label ties, threshold hits).
 import numpy as np
 
 _BLOCK = 4096  # query rows scored per decision_function call in predict
+# a leave-one-out closed form declines a complement whose system is this near
+# singular relative to its scale (1 - leverage, or smallest over largest
+# eigenvalue): only the refit it stands for can tell whether that refit fails
+NEAR_SINGULAR = 1e-8
 
 
 def sign_labels(scores) -> np.ndarray:
@@ -30,9 +34,13 @@ class DecisionFunction:
     def predict(self, X) -> np.ndarray:
         """Labels scored ``_BLOCK`` rows at a time, so memory does not grow with the batch."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cuts = [0, *range(_BLOCK, len(X) - 1, _BLOCK), len(X)]  # never a one-row last block
-        blocks = (X[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
-        return np.concatenate([sign_labels(self.decision_function(b)) for b in blocks])
+        return np.concatenate([sign_labels(self.decision_function(X[b])) for b in blocks(len(X))])
+
+
+def blocks(n: int) -> list:
+    """Slices of at most ``_BLOCK`` rows covering ``range(n)``; never a one-row last block."""
+    cuts = [0, *range(_BLOCK, n - 1, _BLOCK), n]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def as_matrix(X, dim: int) -> np.ndarray:
@@ -43,10 +51,13 @@ def as_matrix(X, dim: int) -> np.ndarray:
     return arr
 
 
-def freeze(obj, name: str, dtype=float, ndmin: int = 0) -> np.ndarray:
+def freeze(obj, name: str, dtype=float, ndmin: int = 0, copy: bool = True) -> np.ndarray:
     """Replace field ``name`` of frozen dataclass ``obj`` with a read-only
-    copy of its value, at least ``ndmin``-dimensional; returns the copy."""
-    arr = np.array(getattr(obj, name), dtype=dtype, ndmin=ndmin)
+    copy of its value, at least ``ndmin``-dimensional; returns the copy.
+
+    ``copy=False`` freezes in place an array of that dtype that no one else holds.
+    """
+    arr = np.array(getattr(obj, name), dtype=dtype, ndmin=ndmin, copy=copy or None)
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr

@@ -25,10 +25,12 @@ from . import evaluation
 from .data import REQUIRED, _get, _typed, child_seed, load_csv, read_json, save_csv
 from .ensembles import TreeConfig, adaboost, bagging, random_subspace
 from .features import make_pipeline_trainer, split_transform_spec
-from .generative import fit_lda, fit_parzen
+from .generative import fit_lda, fit_parzen, lda_loo_scores, parzen_loo_scores
 from .kernels import Kernel, KernelRidge
-from .linear import TrainConfig, train_least_squares, train_linear, train_logistic
-from .neighbors import fit_knn
+from .linear import (
+    TrainConfig, least_squares_loo_scores, train_least_squares, train_linear, train_logistic,
+)
+from .neighbors import fit_knn, knn_loo_scores
 from .neural import NetTrainConfig, train_net
 from .oracle import BayesClassifier, load_problem, sample
 from .serialize import save_model, write_json
@@ -83,8 +85,12 @@ def _net(p, seed, problem):
 def _bayes(p, seed, problem):
     if problem is None:
         raise ValueError("trainer 'bayes' needs a problem, not a dataset")
-    # appended noise columns are N(0, 1) in both classes: the padded problem's rule
-    return lambda ds: BayesClassifier(evaluation.adapt_problem_dim(problem, ds.dim))
+
+    def fit(ds):  # appended noise columns are N(0, 1) in both classes: the padded problem's rule
+        return BayesClassifier(evaluation.adapt_problem_dim(problem, ds.dim))
+
+    # the rule ignores its training rows, so leaving one out changes nothing
+    return evaluation.Trainer(fit, lambda ds: fit(ds).decision_function(ds.features))
 
 
 _GD = {"lambda": (float, 0.0), "max_iters": (int, 1000), "step_size": (float, 1.0),
@@ -93,19 +99,30 @@ _TREES = {"max_depth": (int, 3), "min_leaf_size": (int, 1), "m_rounds": (int, RE
 
 # name -> (schema, builder(params, seed, problem) -> trainer).  A trainer is
 # any callable from a dataset to a model: a closure, or an object such as
-# kernels.KernelRidge that may also offer loo_scores(ds).  Trainers call the
-# fit functions through module-level names when they run, so a tool that
-# rebinds those names (a tracer) sees every fit.
+# evaluation.Trainer or kernels.KernelRidge that also offers loo_scores(ds).
+# Trainers call the fit functions through module-level names when they run,
+# so a tool that rebinds those names (a tracer) sees every fit.
 TRAINERS = {
     "lda": (
         {"laplace_priors": (bool, False), "unbiased_cov": (bool, False),
          "ridge_cov": (float, 0.0)},
-        lambda p, *_: lambda ds: fit_lda(ds, **p),
+        lambda p, *_: evaluation.Trainer(
+            lambda ds: fit_lda(ds, **p), lambda ds: lda_loo_scores(ds, **p)
+        ),
     ),
-    "parzen": ({"bandwidth": (float, REQUIRED)}, lambda p, *_: lambda ds: fit_parzen(ds, **p)),
+    "parzen": (
+        {"bandwidth": (float, REQUIRED)},
+        lambda p, *_: evaluation.Trainer(
+            lambda ds: fit_parzen(ds, **p), lambda ds: parzen_loo_scores(ds, **p)
+        ),
+    ),
     "logistic": (_GD, lambda p, *_: lambda ds: train_logistic(ds, **p)),
     "least_squares": (
-        {"lambda": (float, 0.0)}, lambda p, *_: lambda ds: train_least_squares(ds, **p)
+        {"lambda": (float, 0.0)},
+        lambda p, *_: evaluation.Trainer(
+            lambda ds: train_least_squares(ds, **p),
+            lambda ds: least_squares_loo_scores(ds, **p),
+        ),
     ),
     "linear": ({"loss": (str, REQUIRED), **_GD}, _linear),
     "kernel_ridge": (
@@ -113,7 +130,12 @@ TRAINERS = {
          "lambda": (float, REQUIRED)},
         _kernel_ridge,
     ),
-    "knn": ({"k": (int, REQUIRED)}, lambda p, *_: lambda ds: fit_knn(ds, **p)),
+    "knn": (
+        {"k": (int, REQUIRED)},
+        lambda p, *_: evaluation.Trainer(
+            lambda ds: fit_knn(ds, **p), lambda ds: knn_loo_scores(ds, **p)
+        ),
+    ),
     "tree": (
         {"max_depth": (int, REQUIRED), "min_leaf_size": (int, 1)},
         lambda p, *_: lambda ds: fit_tree(ds, **p),

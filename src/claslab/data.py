@@ -35,6 +35,12 @@ def read_json(path):
             raise ValueError(f"{path} is nested too deeply") from None
 
 
+def _shown(value, width: int = 40) -> str:
+    """``repr(value)``, cut to ``width`` characters with an ellipsis, for a one-line message."""
+    text = repr(value)
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 def _typed(value, type_, what):
     """``value`` checked against a schema type; a float must be finite and accepts an integer."""
     if typing.get_origin(type_) is list:
@@ -48,7 +54,7 @@ def _typed(value, type_, what):
         raise ValueError(f"{what} must be a finite JSON number, got {value!r}")
     if isinstance(value, type_) and not (type_ is int and isinstance(value, bool)):
         return value
-    raise ValueError(f"{what} must be a JSON {_JSON_TYPES[type_]}, got {value!r}")
+    raise ValueError(f"{what} must be a JSON {_JSON_TYPES[type_]}, got {_shown(value)}")
 
 
 def _get(obj, key, type_, default=REQUIRED, what="config"):
@@ -119,11 +125,22 @@ class LabeledDataset:
         return int(np.sum(self.labels == -1))
 
     def subset(self, indices) -> "LabeledDataset":
-        """Dataset restricted to the given row indices (order preserved)."""
+        """Dataset restricted to the given row indices (order preserved).
+
+        The rows passed this dataset's checks, so the child takes one
+        indexed copy of them, frozen, and no check runs again; an index
+        outside [-N, N) raises ``IndexError``.
+        """
         idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(
-            self.features[idx], self.labels[idx], self.feature_names
-        )
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("a subset needs a nonempty 1-D array of row indices")
+        child = object.__new__(LabeledDataset)
+        for name, value in (("features", self.features[idx]), ("labels", self.labels[idx]),
+                            ("feature_names", self.feature_names)):
+            object.__setattr__(child, name, value)
+        freeze(child, "features", copy=False)
+        freeze(child, "labels", int, copy=False)
+        return child
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDataset):

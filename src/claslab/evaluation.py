@@ -12,6 +12,7 @@ out-of-bag count, not a mean of per-round rates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,22 @@ from .data import (
 from .exceptions import EstimationError
 from .oracle import GaussianMixtureProblem, exact_form, sample, true_error
 from . import features as _features
+
+@dataclass(frozen=True)
+class Trainer:
+    """A trainer whose fit has a closed-form leave-one-out.
+
+    ``fit(ds)`` returns the model; ``loo_scores(ds)`` returns the score of
+    each row under the fit to all the other rows, or None when some
+    complement needs a refit to say what happens to it.
+    """
+
+    fit: Callable
+    loo_scores: Callable
+
+    def __call__(self, ds: LabeledDataset):
+        return self.fit(ds)
+
 
 @dataclass(frozen=True)
 class ErrorEstimate:
@@ -115,14 +132,21 @@ def loo_cv(trainer, ds: LabeledDataset) -> ErrorEstimate:
     points; a trainer that cannot fit some complement (e.g. it lost a
     whole class) aborts the estimate, naming the left-out index.  A
     trainer with ``loo_scores(ds)`` gives every row's left-out score in
-    closed form, and nothing is refitted.
+    closed form, and nothing is refitted; where it declines or fails, the
+    refits run, so any error is theirs and names the row.
     """
     if ds.n < 3:
         raise EstimationError("leave-one-out needs N >= 3 so complements stay trainable")
+    scores = None
     if hasattr(trainer, "loo_scores"):
-        value = int(np.sum(sign_labels(trainer.loo_scores(ds)) != ds.labels)) / ds.n
-        return ErrorEstimate(value, "loo", error_std(value, ds.n))
-    return _cross_validate(trainer, ds, FoldAssignment(np.arange(ds.n), ds.n), "loo")
+        try:
+            scores = trainer.loo_scores(ds)
+        except (ValueError, RuntimeError):  # the refits raise it, naming the held-out row
+            pass
+    if scores is None:
+        return _cross_validate(trainer, ds, FoldAssignment(np.arange(ds.n), ds.n), "loo")
+    value = int(np.sum(sign_labels(scores) != ds.labels)) / ds.n
+    return ErrorEstimate(value, "loo", error_std(value, ds.n))
 
 
 def _retry(draw, ok, what: str):

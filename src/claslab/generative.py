@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix, freeze, point_or_batch
+from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, freeze, point_or_batch
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
 from .oracle import LOG_2PI
@@ -78,20 +78,44 @@ def fit_lda(
         raise ValueError("ridge_cov must be nonnegative")
     pos = _positive_rows(ds)
     mean_pos, mean_neg = ds.features[pos].mean(axis=0), ds.features[~pos].mean(axis=0)
-    n, d = ds.features.shape
-    if laplace_priors:
-        prior_pos = (ds.n_pos + 1.0) / (n + 2.0)
-    else:
-        prior_pos = ds.n_pos / n
-    prior_neg = 1.0 - prior_pos
-
     centered = ds.features - np.where(pos[:, None], mean_pos, mean_neg)
-    cov = centered.T @ centered / n
+    prior_pos, cov = _lda_moments(
+        ds.n_pos, ds.n, centered.T @ centered, laplace_priors, unbiased_cov
+    )
+    weight, offset = _lda_rule(prior_pos, mean_pos, mean_neg, cov + ridge_cov * np.eye(ds.dim))
+    return LdaModel(
+        prior_pos=float(prior_pos),
+        prior_neg=float(1.0 - prior_pos),
+        mean_pos=mean_pos,
+        mean_neg=mean_neg,
+        pooled_cov=cov,
+        ridge=float(ridge_cov),
+        weight=weight,
+        offset=float(offset),
+    )
+
+
+def _lda_moments(n_pos, n, scatter, laplace_priors, unbiased_cov):
+    """(prior_pos, pooled covariance) of n rows, n_pos of them positive, whose
+    rows minus their class means have the cross-product ``scatter``."""
+    prior_pos = (n_pos + 1.0) / (n + 2.0) if laplace_priors else n_pos / n
+    cov = scatter / n
     if unbiased_cov:
         if n <= 2:
             raise FitError("unbiased_cov needs N > 2")
         cov = cov * (n / (n - 2.0))
-    solve_cov = cov + ridge_cov * np.eye(d)
+    return prior_pos, cov
+
+
+def _lda_rule(prior_pos, mean_pos, mean_neg, solve_cov):
+    """(weight, offset) of the LDA rule of these statistics, or of each along
+    their leading axes when they are stacks; ``solve_cov`` is the pooled
+    covariance with the ridge added.
+
+    The offset is the log-density difference itself, rather than a separate
+    closed form: log prior ratio minus half the difference of the means'
+    Mahalanobis norms (the determinant terms cancel for a shared cov).
+    """
     try:
         chol = np.linalg.cholesky(solve_cov)
     except np.linalg.LinAlgError:
@@ -100,26 +124,56 @@ def fit_lda(
         ) from None
 
     def cov_solve(v):
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, v))
+        return np.linalg.solve(chol.mT, np.linalg.solve(chol, v[..., None]))[..., 0]
 
     weight = cov_solve(mean_pos - mean_neg)
-    # offset from the log-density difference itself, rather than a separate
-    # closed form: log prior ratio minus half the difference of the means'
-    # Mahalanobis norms (the determinant terms cancel for a shared cov).
-    offset = float(
-        np.log(prior_pos) - np.log(prior_neg)
-        - 0.5 * (mean_pos @ cov_solve(mean_pos) - mean_neg @ cov_solve(mean_neg))
+    offset = (
+        np.log(prior_pos) - np.log(1.0 - prior_pos)
+        - 0.5 * (np.vecdot(mean_pos, cov_solve(mean_pos)) - np.vecdot(mean_neg, cov_solve(mean_neg)))
     )
-    return LdaModel(
-        prior_pos=float(prior_pos),
-        prior_neg=float(prior_neg),
-        mean_pos=mean_pos,
-        mean_neg=mean_neg,
-        pooled_cov=cov,
-        ridge=float(ridge_cov),
-        weight=weight,
-        offset=offset,
-    )
+    return weight, offset
+
+
+def lda_loo_scores(
+    ds: LabeledDataset,
+    laplace_priors: bool = False,
+    unbiased_cov: bool = False,
+    ridge_cov: float = 0.0,
+):
+    """Each row's score under the fit to all the other rows, without a refit;
+    None when a class has one row, which its complement would lose, or when
+    a complement's covariance is too near singular to tell whether its
+    refit would fail.
+
+    Leaving out row x of class c moves that class's mean by
+    (m_c - x)/(n_c - 1) and takes n_c/(n_c - 1) (x - m_c)(x - m_c)^T off the
+    pooled scatter (Lachenbruch & Mickey 1968); the complements' rules then
+    come from one batched solve per block of rows.
+    """
+    model = fit_lda(ds, laplace_priors, unbiased_cov, ridge_cov)
+    if min(ds.n_pos, ds.n_neg) < 2:
+        return None
+    X, pos = ds.features, ds.labels == 1
+    centered = X - np.where(pos[:, None], model.mean_pos, model.mean_neg)
+    scatter = centered.T @ centered
+    own = np.where(pos, ds.n_pos, ds.n_neg)[:, None] - 1.0  # the row's class in its complement
+    scores = []
+    for rows in blocks(ds.n):
+        c, p, shift = centered[rows], pos[rows, None], centered[rows] / own[rows]
+        downdate = (shift * (own[rows] + 1.0))[:, :, None] * c[:, None, :]
+        prior_pos, cov = _lda_moments(
+            ds.n_pos - pos[rows], ds.n - 1, scatter - downdate, laplace_priors, unbiased_cov
+        )
+        solve_cov = cov + ridge_cov * np.eye(ds.dim)
+        spectrum = np.linalg.eigvalsh(solve_cov)
+        if np.any(spectrum[:, 0] <= NEAR_SINGULAR * spectrum[:, -1]):
+            return None
+        weight, offset = _lda_rule(
+            prior_pos, model.mean_pos - np.where(p, shift, 0.0),
+            model.mean_neg - np.where(p, 0.0, shift), solve_cov,
+        )
+        scores.append(np.vecdot(X[rows], weight) + offset)
+    return np.concatenate(scores)
 
 
 def lda_decision(model: LdaModel, x):
@@ -166,22 +220,31 @@ class ParzenModel(DecisionFunction):
     def dim(self) -> int:
         return self.points_pos.shape[1]
 
-    def _log_density(self, X, points):
+    def _log_density(self, X, points, left_out=None):
+        """Log density at each row of X of the estimate from ``points``, where
+        row r leaves out ``points[left_out[r]]`` if that index is >= 0."""
         h2 = self.bandwidth**2
         sq = cdist(X, points, "sqeuclidean")
         sq *= -0.5
         sq /= h2
-        norm = -0.5 * self.dim * (LOG_2PI + np.log(h2)) - np.log(points.shape[0])
+        count = points.shape[0]
+        if left_out is not None:
+            rows = np.flatnonzero(left_out >= 0)
+            sq[rows, left_out[rows]] = -np.inf
+            count = count - (left_out >= 0)
+        norm = -0.5 * self.dim * (LOG_2PI + np.log(h2)) - np.log(count)
         return _logsumexp_rows(sq) + norm
 
-    def decision_function(self, X):
-        X = as_matrix(X, self.dim)
+    def _scores(self, X, prior_pos, prior_neg, left_out=(None, None)):
         return (
-            np.log(self.prior_pos)
-            + self._log_density(X, self.points_pos)
-            - np.log(self.prior_neg)
-            - self._log_density(X, self.points_neg)
+            np.log(prior_pos)
+            + self._log_density(X, self.points_pos, left_out[0])
+            - np.log(prior_neg)
+            - self._log_density(X, self.points_neg, left_out[1])
         )
+
+    def decision_function(self, X):
+        return self._scores(as_matrix(X, self.dim), self.prior_pos, self.prior_neg)
 
 
 def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
@@ -194,6 +257,29 @@ def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
         prior_pos=ds.n_pos / ds.n,
         prior_neg=ds.n_neg / ds.n,
     )
+
+
+def parzen_loo_scores(ds: LabeledDataset, bandwidth: float):
+    """Each row's score under the fit to all the other rows, without a refit;
+    None when a class has one row, which its complement would lose.
+
+    The row's own kernel term is dropped, so its class counts n_c - 1
+    points, and the priors count the N - 1 rows of the complement.
+    """
+    model = fit_parzen(ds, bandwidth)
+    if min(ds.n_pos, ds.n_neg) < 2:
+        return None
+    pos = ds.labels == 1
+    # each row's index among its own class's points; -1 in the other class
+    left_out = [np.where(own, np.cumsum(own) - 1, -1) for own in (pos, ~pos)]
+    scores = []
+    for rows in blocks(ds.n):
+        n_pos = ds.n_pos - pos[rows]
+        scores.append(model._scores(
+            ds.features[rows], n_pos / (ds.n - 1), (ds.n - 1 - n_pos) / (ds.n - 1),
+            [index[rows] for index in left_out],
+        ))
+    return np.concatenate(scores)
 
 
 def parzen_decision(model: ParzenModel, x):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .base import DecisionFunction, as_matrix, freeze, point_or_batch
+from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LabeledDataset
 from .exceptions import NumericError
 from .features import Standardize
@@ -200,15 +200,21 @@ def train_logistic(ds: LabeledDataset, lam: float = 0.0, **overrides) -> LinearH
     return train_linear(ds, config)
 
 
+def _normal_equations(ds: LabeledDataset, lam: float):
+    """(A, G): the rows with a bias column, and the normal matrix A^T A with
+    lam added to the diagonal of every weight but the bias."""
+    A = np.hstack([ds.features, np.ones((ds.n, 1))])
+    gram = A.T @ A
+    gram[:-1, :-1] += lam * np.eye(ds.dim)
+    return A, gram
+
+
 def train_least_squares(ds: LabeledDataset, lam: float = 0.0) -> LinearHypothesis:
     """Exact squared-loss + ridge minimizer via the normal equations."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    X, y = ds.features, ds.labels.astype(float)
-    A = np.hstack([X, np.ones((ds.n, 1))])
-    gram = A.T @ A
-    gram[:-1, :-1] += lam * np.eye(ds.dim)
-    rhs = A.T @ y
+    A, gram = _normal_equations(ds, lam)
+    rhs = A.T @ ds.labels.astype(float)
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
@@ -222,6 +228,22 @@ def train_least_squares(ds: LabeledDataset, lam: float = 0.0) -> LinearHypothesi
             "normal equations are numerically singular; refit with lambda > 0"
         )
     return LinearHypothesis(theta[:-1], float(theta[-1]))
+
+
+def least_squares_loo_scores(ds: LabeledDataset, lam: float = 0.0):
+    """Each row's score under the fit to all the other rows, without a refit;
+    None when a row's leverage is so near 1 that its complement is singular.
+
+    With G the normal matrix and a the row with its bias entry, the row's
+    leverage is h = a^T G^-1 a, and leaving it out turns its score s into
+    (s - h y)/(1 - h): Allen's PRESS residual, which holds for ridge too.
+    """
+    model = train_least_squares(ds, lam)
+    A, gram = _normal_equations(ds, lam)
+    h = np.vecdot(A, np.linalg.solve(gram, A.T).T)
+    if np.any(1.0 - h <= NEAR_SINGULAR):
+        return None
+    return (model.decision_function(ds.features) - h * ds.labels) / (1.0 - h)
 
 
 def posterior_pos(h: LinearHypothesis, x):

@@ -9,6 +9,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import types
 import typing
@@ -16,7 +17,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, read_json
+from .data import LabeledDataset, _get, _shown, _typed, read_json
 from .ensembles import BoostModel, BoostRound, Ensemble
 from .features import PipelineClassifier, Poly2Expand, Select, Standardize
 from .generative import LdaModel, ParzenModel
@@ -59,13 +60,16 @@ def _node_to_dict(node):
 
 
 def _node_from_dict(obj):
+    obj = _typed(obj, dict, "a tree node")
     if "leaf" in obj:
         return TreeNode(label=obj["leaf"])
+    field = {key: _get(obj, key, object, what="a tree node")
+             for key in ("feature", "threshold", "left", "right")}
     return TreeNode(
-        feature=obj["feature"],
-        threshold=obj["threshold"],
-        left=_node_from_dict(obj["left"]),
-        right=_node_from_dict(obj["right"]),
+        feature=field["feature"],
+        threshold=field["threshold"],
+        left=_node_from_dict(field["left"]),
+        right=_node_from_dict(field["right"]),
     )
 
 
@@ -99,31 +103,59 @@ def _encode(value):
     return out
 
 
-def _decode(hint, value):
-    if value is None:
-        return None
+def _array(value, what):
+    """A JSON list of numbers, or of equal-length lists of them, as an array."""
+    arr = None
+    if isinstance(value, list):
+        with contextlib.suppress(ValueError):  # ragged lists
+            arr = np.array(value)
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a JSON list of numbers, or of equal-length "
+                         f"lists of them, got {_shown(value)}")
+    return arr
+
+
+def _decode(hint, value, what):
+    """The field value of type ``hint`` that JSON ``value`` stands for.
+
+    Containers are checked here; a number or a string is the model's own to
+    check, so a file gets the fit's parameter checks and their messages.
+    """
     if isinstance(hint, types.UnionType):  # an optional field: X | None
+        if value is None:
+            return None
         hint = next(a for a in typing.get_args(hint) if a is not type(None))
     if hint is np.ndarray:
-        return np.array(value)
+        return _array(value, what)
     if hint is TreeNode:
         return _node_from_dict(value)
     if is_dataclass(hint):
-        return _from_fields(hint, value)
-    if isinstance(value, dict):
-        return model_from_dict(value)
-    if isinstance(value, list):
+        return _from_fields(hint, _typed(value, dict, what), what)
+    if hint is tuple or typing.get_origin(hint) is tuple:
         item = (typing.get_args(hint) or (object,))[0]
-        return tuple(_decode(item, v) for v in value)
+        return tuple(_decode(item, v, f"each of {what}") for v in _typed(value, list, what))
+    if hint is object:  # a model, or a row of a tuple such as a feature mask
+        if isinstance(value, dict):
+            return model_from_dict(value)
+        return _decode(tuple, value, what) if isinstance(value, list) else value
+    if value is None or isinstance(value, (list, dict)):
+        _typed(value, hint, what)  # raises: a scalar field holds no scalar
     return value
 
 
-def _from_fields(cls, obj):
+def _from_fields(cls, obj, what):
     if cls is KnnClassifier:
-        ds = LabeledDataset(np.array(obj["features"]), np.array(obj["labels"]))
-        return KnnClassifier(obj["k"], ds)
+        features, labels = (
+            _array(_get(obj, key, object, what=what), f"{what} {key!r}")
+            for key in ("features", "labels")
+        )
+        return KnnClassifier(_get(obj, "k", object, what=what), LabeledDataset(features, labels))
     hints = typing.get_type_hints(cls)
-    return cls(**{k: _decode(hints[k], obj[_KEYS.get(k, k)]) for k in _stored_fields(cls)})
+    keys = {name: _KEYS.get(name, name) for name in _stored_fields(cls)}
+    return cls(**{
+        name: _decode(hints[name], _get(obj, key, object, what=what), f"{what} {key!r}")
+        for name, key in keys.items()
+    })
 
 
 def model_to_dict(model) -> dict:
@@ -131,10 +163,11 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(obj: dict):
+    obj = _typed(obj, dict, "a model")
     kind = obj.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return _from_fields(KINDS[kind], obj)
+        raise ValueError(f"unknown model kind {_shown(kind)}")
+    return _from_fields(KINDS[kind], obj, f"{kind} model")
 
 
 def write_json(obj, path) -> None:

@@ -256,6 +256,24 @@ class TestEval:
         assert run(workdir, "eval", cfg) == 3
         assert "held-out rows (index 0)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trainer", [
+        {"name": "lda"}, {"name": "parzen", "params": {"bandwidth": 0.5}}, {"name": "least_squares"},
+    ], ids=["lda", "parzen", "least_squares"])
+    def test_loo_fit_failure_exits_3_naming_the_row(self, workdir, capsys, trainer):
+        # row 0 is the only positive, and the only row off the others' line;
+        # its complement has one class, or a column as constant as the bias
+        (workdir / "one_pos.csv").write_text(
+            "x,label\n1.0,1\n0.0,-1\n0.0,-1\n", encoding="utf-8"
+        )
+        cfg = {
+            "dataset": str(workdir / "one_pos.csv"),
+            "trainer": trainer,
+            "estimator": {"method": "loo"},
+            "out": str(workdir / "est.json"),
+        }
+        assert run(workdir, "eval", cfg) == 3
+        assert "held-out rows (index 0)" in capsys.readouterr().err
+
 
 class TestCurve:
     def test_learning_curve_row_count(self, workdir):
@@ -579,6 +597,14 @@ def test_wrong_json_type_in_the_problem_file_exits_2(workdir, capsys, case, comm
     assert run(workdir, command, problem_config(workdir, command, problem)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1 and field in err
+
+
+def test_a_rejected_value_is_echoed_cut_short(workdir, capsys):
+    # a problem file written as a top-level list would otherwise print itself whole
+    cfg = problem_config(workdir, "gen", [PROBLEM] * 20)
+    assert run(workdir, "gen", cfg) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: the problem file must be a JSON object, got [{'prior_pos': 0.5, 'mean_pos': [1.0]...\n"
 
 
 @pytest.mark.parametrize("command", ["gen", "eval"])

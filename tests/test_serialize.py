@@ -1,6 +1,7 @@
 """Every model kind must survive a JSON round trip bit-for-bit."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -123,6 +124,42 @@ def test_unknown_kind_rejected():
         model_from_dict({"kind": "mystery"})
     with pytest.raises(ValueError, match="unknown model kind"):
         model_from_dict({"kind": ["lda"]})
+
+
+# (fixture, change to its JSON, message): each file must raise a ValueError
+# naming the field, not an AttributeError, a TypeError or a bare KeyError
+MALFORMED_FILES = {
+    "top_level_list": ("lda", lambda obj: [obj], "a model must be a JSON object"),
+    "object_weight": ("lda", lambda obj: {**obj, "weight": {"a": 1}},
+                      "lda model 'weight' must be a JSON list"),
+    "missing_weight": ("lda", lambda obj: {k: v for k, v in obj.items() if k != "weight"},
+                       "lda model needs 'weight'"),
+    "ragged_cov": ("lda", lambda obj: {**obj, "pooled_cov": [[1.0], [0.0, 1.0]]},
+                   "lda model 'pooled_cov' must be a JSON list of numbers"),
+    "string_in_weight": ("lda", lambda obj: {**obj, "weight": ["1", 2.0]},
+                         "lda model 'weight' must be a JSON list of numbers"),
+    "null_offset": ("lda", lambda obj: {**obj, "offset": None},
+                    "lda model 'offset' must be a JSON number, got None"),
+    "list_offset": ("lda", lambda obj: {**obj, "offset": [0.5]},
+                    "lda model 'offset' must be a JSON number"),
+    "node_without_threshold": (
+        "tree", lambda obj: {**obj, "root": {"feature": 0, "left": {"leaf": 1}}},
+        "a tree node needs 'threshold'",
+    ),
+    "string_kernel": ("kernel_machine", lambda obj: {**obj, "kernel": "rbf"},
+                      "kernel_machine model 'kernel' must be a JSON object"),
+    "knn_object_labels": ("knn", lambda obj: {**obj, "labels": {"a": 1}},
+                          "knn model 'labels' must be a JSON list"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_a_malformed_model_file_is_a_value_error_naming_the_field(tmp_path, case):
+    name, change, message = MALFORMED_FILES[case]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(change(json.loads((FIXTURES / f"{name}.json").read_text()))))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(path)
 
 
 def test_a_deeply_nested_model_file_is_a_value_error(tmp_path):
