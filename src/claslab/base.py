@@ -9,9 +9,9 @@ package (loss kinks, vote ties, leaf-label ties, threshold hits).
 import numpy as np
 
 _BLOCK = 4096  # query rows scored per decision_function call in predict
-# a leave-one-out closed form declines a complement whose system is this near
-# singular relative to its scale (1 - leverage, or smallest over largest
-# eigenvalue): only the refit it stands for can tell whether that refit fails
+# a leave-one-out closed form declines a complement whose system may be this
+# near singular relative to its scale: only the refit it stands for can tell
+# whether that refit fails
 NEAR_SINGULAR = 1e-8
 
 
@@ -55,12 +55,22 @@ def freeze(obj, name: str, dtype=float, ndmin: int = 0, copy: bool = True) -> np
     """Replace field ``name`` of frozen dataclass ``obj`` with a read-only
     copy of its value, at least ``ndmin``-dimensional; returns the copy.
 
-    ``copy=False`` freezes in place an array of that dtype that no one else holds.
+    ``copy=False`` freezes the value itself: an array that no one else holds.
     """
-    arr = np.array(getattr(obj, name), dtype=dtype, ndmin=ndmin, copy=copy or None)
+    arr = np.array(getattr(obj, name), dtype=dtype, ndmin=ndmin) if copy else getattr(obj, name)
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def fitted_or_none(fit, *args):
+    """``fit(*args)``, or None where the fit raises a ``ValueError`` or
+    ``RuntimeError``: a leave-one-out closed form then declines, and the
+    refits raise that error themselves, naming the held-out row."""
+    try:
+        return fit(*args)
+    except (ValueError, RuntimeError):
+        return None
 
 
 def point_or_batch(answer, x):

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -86,10 +86,13 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...] | None = None
+    # set by ``subset``: the arrays are fresh copies of rows that passed
+    # these checks, so they are frozen in place and their values not rechecked
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        feats = freeze(self, "features")
-        labs = freeze(self, "labels", int)
+    def __post_init__(self, _checked):
+        feats = freeze(self, "features", copy=not _checked)
+        labs = freeze(self, "labels", int, copy=not _checked)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if feats.shape[0] != labs.shape[0]:
@@ -98,9 +101,9 @@ class LabeledDataset:
             )
         if feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ValueError("dataset needs at least one row and one column")
-        if not np.all(np.isfinite(feats)):
+        if not _checked and not np.all(np.isfinite(feats)):
             raise ValueError("features contain non-finite values")
-        if not np.all((labs == 1) | (labs == -1)):
+        if not _checked and not np.all((labs == 1) | (labs == -1)):
             raise ValueError("labels must be -1 or +1")
         if self.feature_names is not None:
             names = tuple(self.feature_names)
@@ -127,20 +130,15 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Dataset restricted to the given row indices (order preserved).
 
-        The rows passed this dataset's checks, so the child takes one
-        indexed copy of them, frozen, and no check runs again; an index
-        outside [-N, N) raises ``IndexError``.
+        The child takes one indexed copy of the rows, which passed this
+        dataset's checks; an index outside [-N, N) raises ``IndexError``.
         """
         idx = np.asarray(indices, dtype=int)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("a subset needs a nonempty 1-D array of row indices")
-        child = object.__new__(LabeledDataset)
-        for name, value in (("features", self.features[idx]), ("labels", self.labels[idx]),
-                            ("feature_names", self.feature_names)):
-            object.__setattr__(child, name, value)
-        freeze(child, "features", copy=False)
-        freeze(child, "labels", int, copy=False)
-        return child
+        if idx.ndim != 1:
+            raise ValueError("subset indices must be a 1-D array")
+        return LabeledDataset(
+            self.features[idx], self.labels[idx], self.feature_names, _checked=True
+        )
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDataset):

@@ -25,6 +25,7 @@ from .exceptions import EstimationError
 from .oracle import GaussianMixtureProblem, exact_form, sample, true_error
 from . import features as _features
 
+
 @dataclass(frozen=True)
 class Trainer:
     """A trainer whose fit has a closed-form leave-one-out.
@@ -132,17 +133,12 @@ def loo_cv(trainer, ds: LabeledDataset) -> ErrorEstimate:
     points; a trainer that cannot fit some complement (e.g. it lost a
     whole class) aborts the estimate, naming the left-out index.  A
     trainer with ``loo_scores(ds)`` gives every row's left-out score in
-    closed form, and nothing is refitted; where it declines or fails, the
-    refits run, so any error is theirs and names the row.
+    closed form, and nothing is refitted; where it declines (returns
+    None), the refits run, so any error is theirs and names the row.
     """
     if ds.n < 3:
         raise EstimationError("leave-one-out needs N >= 3 so complements stay trainable")
-    scores = None
-    if hasattr(trainer, "loo_scores"):
-        try:
-            scores = trainer.loo_scores(ds)
-        except (ValueError, RuntimeError):  # the refits raise it, naming the held-out row
-            pass
+    scores = trainer.loo_scores(ds) if hasattr(trainer, "loo_scores") else None
     if scores is None:
         return _cross_validate(trainer, ds, FoldAssignment(np.arange(ds.n), ds.n), "loo")
     value = int(np.sum(sign_labels(scores) != ds.labels)) / ds.n

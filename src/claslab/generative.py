@@ -11,9 +11,12 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, freeze, point_or_batch
+from .base import (
+    NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, fitted_or_none, freeze, point_or_batch,
+)
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
 from .oracle import LOG_2PI
@@ -82,16 +85,35 @@ def fit_lda(
     prior_pos, cov = _lda_moments(
         ds.n_pos, ds.n, centered.T @ centered, laplace_priors, unbiased_cov
     )
-    weight, offset = _lda_rule(prior_pos, mean_pos, mean_neg, cov + ridge_cov * np.eye(ds.dim))
+    prior_neg = 1.0 - prior_pos
+    solve_cov = cov + ridge_cov * np.eye(ds.dim)
+    try:
+        chol = np.linalg.cholesky(solve_cov)
+    except np.linalg.LinAlgError:
+        raise NumericError(
+            "pooled covariance is singular; refit with ridge_cov > 0"
+        ) from None
+
+    def cov_solve(v):
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, v))
+
+    weight = cov_solve(mean_pos - mean_neg)
+    # offset from the log-density difference itself, rather than a separate
+    # closed form: log prior ratio minus half the difference of the means'
+    # Mahalanobis norms (the determinant terms cancel for a shared cov).
+    offset = float(
+        np.log(prior_pos) - np.log(prior_neg)
+        - 0.5 * (mean_pos @ cov_solve(mean_pos) - mean_neg @ cov_solve(mean_neg))
+    )
     return LdaModel(
         prior_pos=float(prior_pos),
-        prior_neg=float(1.0 - prior_pos),
+        prior_neg=float(prior_neg),
         mean_pos=mean_pos,
         mean_neg=mean_neg,
         pooled_cov=cov,
         ridge=float(ridge_cov),
         weight=weight,
-        offset=float(offset),
+        offset=offset,
     )
 
 
@@ -107,33 +129,6 @@ def _lda_moments(n_pos, n, scatter, laplace_priors, unbiased_cov):
     return prior_pos, cov
 
 
-def _lda_rule(prior_pos, mean_pos, mean_neg, solve_cov):
-    """(weight, offset) of the LDA rule of these statistics, or of each along
-    their leading axes when they are stacks; ``solve_cov`` is the pooled
-    covariance with the ridge added.
-
-    The offset is the log-density difference itself, rather than a separate
-    closed form: log prior ratio minus half the difference of the means'
-    Mahalanobis norms (the determinant terms cancel for a shared cov).
-    """
-    try:
-        chol = np.linalg.cholesky(solve_cov)
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            "pooled covariance is singular; refit with ridge_cov > 0"
-        ) from None
-
-    def cov_solve(v):
-        return np.linalg.solve(chol.mT, np.linalg.solve(chol, v[..., None]))[..., 0]
-
-    weight = cov_solve(mean_pos - mean_neg)
-    offset = (
-        np.log(prior_pos) - np.log(1.0 - prior_pos)
-        - 0.5 * (np.vecdot(mean_pos, cov_solve(mean_pos)) - np.vecdot(mean_neg, cov_solve(mean_neg)))
-    )
-    return weight, offset
-
-
 def lda_loo_scores(
     ds: LabeledDataset,
     laplace_priors: bool = False,
@@ -141,39 +136,46 @@ def lda_loo_scores(
     ridge_cov: float = 0.0,
 ):
     """Each row's score under the fit to all the other rows, without a refit;
-    None when a class has one row, which its complement would lose, or when
-    a complement's covariance is too near singular to tell whether its
-    refit would fail.
+    None when the fit to all rows fails, when a class has one row, which its
+    complement would lose, or when a complement's covariance is too near
+    singular to tell whether its refit would fail.
 
-    Leaving out row x of class c moves that class's mean by
-    (m_c - x)/(n_c - 1) and takes n_c/(n_c - 1) (x - m_c)(x - m_c)^T off the
-    pooled scatter (Lachenbruch & Mickey 1968); the complements' rules then
-    come from one batched solve per block of rows.
+    Leaving out row x of class c, with z = x - m_c, moves m_c by
+    -z/(n_c - 1) and takes n_c/(n_c - 1) z z^T off the pooled scatter
+    (Lachenbruch & Mickey 1968).  So every complement's covariance is
+    M - beta z z^T for one shared M, and one Cholesky factor of M with a
+    Sherman-Morrison update gives each complement's Mahalanobis distances
+    from x to its two class means; the score is the log prior ratio plus
+    half their difference, as in the fit's rule.
     """
-    model = fit_lda(ds, laplace_priors, unbiased_cov, ridge_cov)
-    if min(ds.n_pos, ds.n_neg) < 2:
+    model = fitted_or_none(fit_lda, ds, laplace_priors, unbiased_cov, ridge_cov)
+    if model is None or min(ds.n_pos, ds.n_neg) < 2:
         return None
     X, pos = ds.features, ds.labels == 1
-    centered = X - np.where(pos[:, None], model.mean_pos, model.mean_neg)
-    scatter = centered.T @ centered
-    own = np.where(pos, ds.n_pos, ds.n_neg)[:, None] - 1.0  # the row's class in its complement
-    scores = []
-    for rows in blocks(ds.n):
-        c, p, shift = centered[rows], pos[rows, None], centered[rows] / own[rows]
-        downdate = (shift * (own[rows] + 1.0))[:, :, None] * c[:, None, :]
-        prior_pos, cov = _lda_moments(
-            ds.n_pos - pos[rows], ds.n - 1, scatter - downdate, laplace_priors, unbiased_cov
-        )
-        solve_cov = cov + ridge_cov * np.eye(ds.dim)
-        spectrum = np.linalg.eigvalsh(solve_cov)
-        if np.any(spectrum[:, 0] <= NEAR_SINGULAR * spectrum[:, -1]):
-            return None
-        weight, offset = _lda_rule(
-            prior_pos, model.mean_pos - np.where(p, shift, 0.0),
-            model.mean_neg - np.where(p, 0.0, shift), solve_cov,
-        )
-        scores.append(np.vecdot(X[rows], weight) + offset)
-    return np.concatenate(scores)
+    n_own = np.where(pos, ds.n_pos, ds.n_neg)
+    own = n_own / (n_own - 1.0)  # x minus its class's complement mean is own * z
+    z = X - np.where(pos[:, None], model.mean_pos, model.mean_neg)
+    other = X - np.where(pos[:, None], model.mean_neg, model.mean_pos)  # that mean stays
+    # both classes keep two rows, so N - 1 >= 3 and unbiased_cov holds
+    prior_pos, scale = _lda_moments(ds.n_pos - pos, ds.n - 1, 1.0, laplace_priors, unbiased_cov)
+    shared = scale * (z.T @ z) + ridge_cov * np.eye(ds.dim)  # M
+    spectrum = np.linalg.eigvalsh(shared)
+    if spectrum[0] <= NEAR_SINGULAR * spectrum[-1]:  # before M's Cholesky, which needs it
+        return None
+    chol = np.linalg.cholesky(shared)
+    zw, ow = (solve_triangular(chol, v.T, lower=True) for v in (z, other))  # L^-1 z, L^-1 other
+    q, beta = np.sum(zw * zw, axis=0), scale * own
+    # the complement's covariance determinant over M's; by eigenvalue
+    # interlacing, its smallest over largest eigenvalue is at least rest times M's
+    rest = 1.0 - beta * q
+    if np.any(rest * spectrum[0] <= NEAR_SINGULAR * spectrum[-1]):
+        return None
+    d_own = own**2 * q / rest
+    d_other = np.sum(ow * ow, axis=0) + beta * np.sum(zw * ow, axis=0) ** 2 / rest
+    return (
+        np.log(prior_pos) - np.log(1.0 - prior_pos)
+        + np.where(pos, 0.5, -0.5) * (d_other - d_own)
+    )
 
 
 def lda_decision(model: LdaModel, x):
@@ -261,13 +263,14 @@ def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
 
 def parzen_loo_scores(ds: LabeledDataset, bandwidth: float):
     """Each row's score under the fit to all the other rows, without a refit;
-    None when a class has one row, which its complement would lose.
+    None when the fit to all rows fails or a class has one row, which its
+    complement would lose.
 
     The row's own kernel term is dropped, so its class counts n_c - 1
     points, and the priors count the N - 1 rows of the complement.
     """
-    model = fit_parzen(ds, bandwidth)
-    if min(ds.n_pos, ds.n_neg) < 2:
+    model = fitted_or_none(fit_parzen, ds, bandwidth)
+    if model is None or min(ds.n_pos, ds.n_neg) < 2:
         return None
     pos = ds.labels == 1
     # each row's index among its own class's points; -1 in the other class

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix, blocks, point_or_batch
+from .base import DecisionFunction, as_matrix, blocks, fitted_or_none, point_or_batch
 from .data import LabeledDataset
 
 @dataclass(frozen=True)
@@ -65,13 +65,14 @@ def fit_knn(ds: LabeledDataset, k: int) -> KnnClassifier:
 
 def knn_loo_scores(ds: LabeledDataset, k: int):
     """Each row's score under the fit to all the other rows, without a refit;
-    None when k leaves no complement enough points.
+    None when the fit to all rows fails, or when k leaves no complement
+    enough points.
 
     The row's own distance is NaN, so it takes no seat, and the vote is the
     refit's bit for bit, ties included.
     """
-    model = fit_knn(ds, k)
-    if k >= ds.n:
+    model = fitted_or_none(fit_knn, ds, k)
+    if model is None or k >= ds.n:
         return None
     X, positive, scores = ds.features, ds.labels == 1, []
     for rows in blocks(ds.n):

@@ -5,12 +5,14 @@ its parameter cases in ``LOO_CASES``, so a shortcut added later is checked
 here without further work.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from claslab.cli import TRAINERS, _choose
 from claslab.data import LabeledDataset
-from claslab.evaluation import loo_cv
+from claslab.evaluation import Trainer, loo_cv
 from claslab.exceptions import EstimationError
 from claslab.generative import fit_lda, fit_parzen
 from claslab.linear import train_least_squares
@@ -94,6 +96,24 @@ def test_scores_do_not_depend_on_the_row_block(name, monkeypatch):
     np.testing.assert_allclose(trainer.loo_scores(ds), whole, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", [n for n in LOO_CASES if n != "kernel_ridge"])
+def test_memory_grows_with_n_times_d_and_the_row_block(name, monkeypatch):
+    """No d x d matrix per row and no N x N block: at N = 600, d = 60 and
+    64-row blocks, a few arrays of N x d or 64 x N floats at most (kernel
+    ridge inverts its N + 1 square system, so it is left out)."""
+    monkeypatch.setattr("claslab.base._BLOCK", 64)
+    rng = np.random.default_rng(63)
+    ds = LabeledDataset(rng.normal(size=(600, 60)), np.where(rng.random(600) < 0.5, 1, -1))
+    trainer = build(name, LOO_CASES[name][-1])
+    tracemalloc.start()
+    try:
+        assert trainer.loo_scores(ds) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * (ds.n * ds.dim + 64 * ds.n)
+
+
 def raised(trainer, ds):
     with pytest.raises(Exception) as info:
         loo_cv(trainer, ds)
@@ -136,3 +156,11 @@ def test_one_row_class_names_index_0():
     for name, params in [("lda", {}), ("parzen", {"bandwidth": 0.5})]:
         kind, message = raised(build(name, params), ONE_POSITIVE)
         assert kind is EstimationError and "index 0" in message
+
+
+def test_an_error_inside_a_closed_form_is_not_taken_for_a_decline():
+    def broken(ds):
+        raise ValueError("operands could not be broadcast together")
+
+    with pytest.raises(ValueError, match="broadcast"):
+        loo_cv(Trainer(fit_lda, broken), datasets()[0])
