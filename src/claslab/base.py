@@ -63,16 +63,6 @@ def freeze(obj, name: str, dtype=float, ndmin: int = 0, copy: bool = True) -> np
     return arr
 
 
-def fitted_or_none(fit, *args):
-    """``fit(*args)``, or None where the fit raises a ``ValueError`` or
-    ``RuntimeError``: a leave-one-out closed form then declines, and the
-    refits raise that error themselves, naming the held-out row."""
-    try:
-        return fit(*args)
-    except (ValueError, RuntimeError):
-        return None
-
-
 def point_or_batch(answer, x):
     """``answer(x)``; the answer coerces x and checks its width itself.
 

@@ -26,7 +26,7 @@ from .data import REQUIRED, _get, _typed, child_seed, load_csv, read_json, save_
 from .ensembles import TreeConfig, adaboost, bagging, random_subspace
 from .features import make_pipeline_trainer, split_transform_spec
 from .generative import fit_lda, fit_parzen, lda_loo_scores, parzen_loo_scores
-from .kernels import Kernel, KernelRidge
+from .kernels import Kernel, kernel_ridge_loo_scores, train_kernel_machine
 from .linear import (
     TrainConfig, least_squares_loo_scores, train_least_squares, train_linear, train_logistic,
 )
@@ -74,7 +74,11 @@ def _linear(p, seed, problem):
 
 
 def _kernel_ridge(p, seed, problem):
-    return KernelRidge(Kernel(p["kernel"], p["c"], p["sigma"]), p["lam"])
+    kernel = Kernel(p["kernel"], p["c"], p["sigma"])
+    return evaluation.Trainer(
+        lambda ds: train_kernel_machine(ds, kernel, p["lam"]),
+        lambda ds, model: kernel_ridge_loo_scores(ds, model, p["lam"]),
+    )
 
 
 def _net(p, seed, problem):
@@ -90,7 +94,7 @@ def _bayes(p, seed, problem):
         return BayesClassifier(evaluation.adapt_problem_dim(problem, ds.dim))
 
     # the rule ignores its training rows, so leaving one out changes nothing
-    return evaluation.Trainer(fit, lambda ds: fit(ds).decision_function(ds.features))
+    return evaluation.Trainer(fit, lambda ds, model: model.decision_function(ds.features))
 
 
 _GD = {"lambda": (float, 0.0), "max_iters": (int, 1000), "step_size": (float, 1.0),
@@ -98,8 +102,8 @@ _GD = {"lambda": (float, 0.0), "max_iters": (int, 1000), "step_size": (float, 1.
 _TREES = {"max_depth": (int, 3), "min_leaf_size": (int, 1), "m_rounds": (int, REQUIRED)}
 
 # name -> (schema, builder(params, seed, problem) -> trainer).  A trainer is
-# any callable from a dataset to a model: a closure, or an object such as
-# evaluation.Trainer or kernels.KernelRidge that also offers loo_scores(ds).
+# any callable from a dataset to a model: a closure, or an evaluation.Trainer,
+# which also scores leave-one-out in closed form from the fit to all rows.
 # Trainers call the fit functions through module-level names when they run,
 # so a tool that rebinds those names (a tracer) sees every fit.
 TRAINERS = {
@@ -107,21 +111,20 @@ TRAINERS = {
         {"laplace_priors": (bool, False), "unbiased_cov": (bool, False),
          "ridge_cov": (float, 0.0)},
         lambda p, *_: evaluation.Trainer(
-            lambda ds: fit_lda(ds, **p), lambda ds: lda_loo_scores(ds, **p)
+            lambda ds: fit_lda(ds, **p),
+            lambda ds, model: lda_loo_scores(ds, model, p["laplace_priors"], p["unbiased_cov"]),
         ),
     ),
     "parzen": (
         {"bandwidth": (float, REQUIRED)},
-        lambda p, *_: evaluation.Trainer(
-            lambda ds: fit_parzen(ds, **p), lambda ds: parzen_loo_scores(ds, **p)
-        ),
+        lambda p, *_: evaluation.Trainer(lambda ds: fit_parzen(ds, **p), parzen_loo_scores),
     ),
     "logistic": (_GD, lambda p, *_: lambda ds: train_logistic(ds, **p)),
     "least_squares": (
         {"lambda": (float, 0.0)},
         lambda p, *_: evaluation.Trainer(
             lambda ds: train_least_squares(ds, **p),
-            lambda ds: least_squares_loo_scores(ds, **p),
+            lambda ds, model: least_squares_loo_scores(ds, model, **p),
         ),
     ),
     "linear": ({"loss": (str, REQUIRED), **_GD}, _linear),
@@ -132,9 +135,7 @@ TRAINERS = {
     ),
     "knn": (
         {"k": (int, REQUIRED)},
-        lambda p, *_: evaluation.Trainer(
-            lambda ds: fit_knn(ds, **p), lambda ds: knn_loo_scores(ds, **p)
-        ),
+        lambda p, *_: evaluation.Trainer(lambda ds: fit_knn(ds, **p), knn_loo_scores),
     ),
     "tree": (
         {"max_depth": (int, REQUIRED), "min_leaf_size": (int, 1)},

@@ -131,11 +131,14 @@ class LabeledDataset:
         """Dataset restricted to the given row indices (order preserved).
 
         The child takes one indexed copy of the rows, which passed this
-        dataset's checks; an index outside [-N, N) raises ``IndexError``.
+        dataset's checks.  Indices that are not integers (a boolean mask,
+        floats) raise ``ValueError``; one outside [-N, N) raises ``IndexError``.
         """
-        idx = np.asarray(indices, dtype=int)
-        if idx.ndim != 1:
-            raise ValueError("subset indices must be a 1-D array")
+        idx = np.asarray(indices)
+        if idx.size == 0:  # [] reads as floats; the empty child fails its row check
+            idx = idx.astype(int)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValueError("subset indices must be a 1-D array of integers")
         return LabeledDataset(
             self.features[idx], self.labels[idx], self.feature_names, _checked=True
         )

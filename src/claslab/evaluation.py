@@ -30,16 +30,26 @@ from . import features as _features
 class Trainer:
     """A trainer whose fit has a closed-form leave-one-out.
 
-    ``fit(ds)`` returns the model; ``loo_scores(ds)`` returns the score of
-    each row under the fit to all the other rows, or None when some
-    complement needs a refit to say what happens to it.
+    ``fit(ds)`` returns the model; ``closed_form(ds, model)`` turns the fit
+    to all rows into the score of each row under the fit to all the other
+    rows, or None when some complement needs a refit to say what happens
+    to it.
     """
 
     fit: Callable
-    loo_scores: Callable
+    closed_form: Callable
 
     def __call__(self, ds: LabeledDataset):
         return self.fit(ds)
+
+    def loo_scores(self, ds: LabeledDataset):
+        """The closed form of the fit to all rows; None when that fit fails,
+        so the refits raise its error themselves, naming the held-out row."""
+        try:
+            model = self.fit(ds)
+        except (ValueError, RuntimeError):
+            return None
+        return self.closed_form(ds, model)
 
 
 @dataclass(frozen=True)
@@ -132,13 +142,14 @@ def loo_cv(trainer, ds: LabeledDataset) -> ErrorEstimate:
     Needs N >= 3 so every training complement keeps at least two
     points; a trainer that cannot fit some complement (e.g. it lost a
     whole class) aborts the estimate, naming the left-out index.  A
-    trainer with ``loo_scores(ds)`` gives every row's left-out score in
-    closed form, and nothing is refitted; where it declines (returns
-    None), the refits run, so any error is theirs and names the row.
+    :class:`Trainer` fits all rows once and gives every row's left-out
+    score in closed form, and nothing is refitted; where it declines
+    (returns None), the refits run, so any error is theirs and names the
+    row.
     """
     if ds.n < 3:
         raise EstimationError("leave-one-out needs N >= 3 so complements stay trainable")
-    scores = trainer.loo_scores(ds) if hasattr(trainer, "loo_scores") else None
+    scores = trainer.loo_scores(ds) if isinstance(trainer, Trainer) else None
     if scores is None:
         return _cross_validate(trainer, ds, FoldAssignment(np.arange(ds.n), ds.n), "loo")
     value = int(np.sum(sign_labels(scores) != ds.labels)) / ds.n

@@ -14,9 +14,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from .base import (
-    NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, fitted_or_none, freeze, point_or_batch,
-)
+from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, freeze, point_or_batch
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
 from .oracle import LOG_2PI
@@ -130,15 +128,12 @@ def _lda_moments(n_pos, n, scatter, laplace_priors, unbiased_cov):
 
 
 def lda_loo_scores(
-    ds: LabeledDataset,
-    laplace_priors: bool = False,
-    unbiased_cov: bool = False,
-    ridge_cov: float = 0.0,
+    ds: LabeledDataset, model: LdaModel, laplace_priors: bool = False, unbiased_cov: bool = False
 ):
-    """Each row's score under the fit to all the other rows, without a refit;
-    None when the fit to all rows fails, when a class has one row, which its
-    complement would lose, or when a complement's covariance is too near
-    singular to tell whether its refit would fail.
+    """Each row's score under the fit to all the other rows, from ``model``,
+    the fit to all rows; None when a class has one row, which its complement
+    would lose, or when a complement's covariance is too near singular to
+    tell whether its refit would fail.
 
     Leaving out row x of class c, with z = x - m_c, moves m_c by
     -z/(n_c - 1) and takes n_c/(n_c - 1) z z^T off the pooled scatter
@@ -148,8 +143,7 @@ def lda_loo_scores(
     from x to its two class means; the score is the log prior ratio plus
     half their difference, as in the fit's rule.
     """
-    model = fitted_or_none(fit_lda, ds, laplace_priors, unbiased_cov, ridge_cov)
-    if model is None or min(ds.n_pos, ds.n_neg) < 2:
+    if min(ds.n_pos, ds.n_neg) < 2:
         return None
     X, pos = ds.features, ds.labels == 1
     n_own = np.where(pos, ds.n_pos, ds.n_neg)
@@ -158,7 +152,7 @@ def lda_loo_scores(
     other = X - np.where(pos[:, None], model.mean_neg, model.mean_pos)  # that mean stays
     # both classes keep two rows, so N - 1 >= 3 and unbiased_cov holds
     prior_pos, scale = _lda_moments(ds.n_pos - pos, ds.n - 1, 1.0, laplace_priors, unbiased_cov)
-    shared = scale * (z.T @ z) + ridge_cov * np.eye(ds.dim)  # M
+    shared = scale * (z.T @ z) + model.ridge * np.eye(ds.dim)  # M
     spectrum = np.linalg.eigvalsh(shared)
     if spectrum[0] <= NEAR_SINGULAR * spectrum[-1]:  # before M's Cholesky, which needs it
         return None
@@ -261,16 +255,15 @@ def fit_parzen(ds: LabeledDataset, bandwidth: float) -> ParzenModel:
     )
 
 
-def parzen_loo_scores(ds: LabeledDataset, bandwidth: float):
-    """Each row's score under the fit to all the other rows, without a refit;
-    None when the fit to all rows fails or a class has one row, which its
-    complement would lose.
+def parzen_loo_scores(ds: LabeledDataset, model: ParzenModel):
+    """Each row's score under the fit to all the other rows, from ``model``,
+    the fit to all rows; None when a class has one row, which its complement
+    would lose.
 
     The row's own kernel term is dropped, so its class counts n_c - 1
     points, and the priors count the N - 1 rows of the complement.
     """
-    model = fitted_or_none(fit_parzen, ds, bandwidth)
-    if model is None or min(ds.n_pos, ds.n_neg) < 2:
+    if min(ds.n_pos, ds.n_neg) < 2:
         return None
     pos = ds.labels == 1
     # each row's index among its own class's points; -1 in the other class

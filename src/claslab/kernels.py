@@ -117,7 +117,8 @@ def _bordered(kernel: Kernel, ds: LabeledDataset, lam: float) -> np.ndarray:
     """The kernel ridge system of ``ds``: C = [[K + lam I, 1], [1^T, 0]]."""
     n = ds.n
     C = np.ones((n + 1, n + 1))
-    C[:n, :n] = gram_matrix(kernel, ds)
+    with np.errstate(over="ignore", invalid="ignore"):  # the fit's finiteness check reports it
+        C[:n, :n] = gram_matrix(kernel, ds)
     C[np.arange(n), np.arange(n)] += lam
     C[n, n] = 0.0
     return C
@@ -139,31 +140,17 @@ def train_kernel_machine(
     return KernelMachine(solution[:-1], float(solution[-1]), ds.features, kernel)
 
 
-@dataclass(frozen=True)
-class KernelRidge:
-    """Kernel ridge as a trainer: ``KernelRidge(kernel, lam)(ds)`` fits a machine."""
-
-    kernel: Kernel
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-
-    def __call__(self, ds: LabeledDataset) -> KernelMachine:
-        return train_kernel_machine(ds, self.kernel, self.lam)
-
-    def loo_scores(self, ds: LabeledDataset) -> np.ndarray:
-        """Score of each row under the fit to all the other rows, without refitting."""
-        try:
-            C_inv = np.linalg.inv(_bordered(self.kernel, ds, self.lam))
-        except np.linalg.LinAlgError:
-            raise NumericError("kernel ridge system could not be inverted") from None
-        y = ds.labels.astype(float)
-        scores = y - (C_inv[:-1, :-1] @ y) / np.diag(C_inv)[:-1]
-        if not np.all(np.isfinite(scores)):
-            raise NumericError("kernel ridge leave-one-out scores are not finite")
-        return scores
+def kernel_ridge_loo_scores(ds: LabeledDataset, model: KernelMachine, lam: float):
+    """Each row's score under the fit to all the other rows, from ``model``,
+    the fit to all rows with ridge ``lam``; None when the system cannot be
+    inverted or a score is not finite."""
+    try:
+        C_inv = np.linalg.inv(_bordered(model.kernel, ds, lam))
+    except np.linalg.LinAlgError:
+        return None
+    y = ds.labels.astype(float)
+    scores = y - (C_inv[:-1, :-1] @ y) / np.diag(C_inv)[:-1]
+    return scores if np.all(np.isfinite(scores)) else None
 
 
 def km_decision(km: KernelMachine, x):

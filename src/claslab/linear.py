@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .base import (
-    NEAR_SINGULAR, DecisionFunction, as_matrix, fitted_or_none, freeze, point_or_batch,
-)
+from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, freeze, point_or_batch
 from .data import LabeledDataset
 from .exceptions import NumericError
 from .features import Standardize
@@ -232,18 +230,15 @@ def train_least_squares(ds: LabeledDataset, lam: float = 0.0) -> LinearHypothesi
     return LinearHypothesis(theta[:-1], float(theta[-1]))
 
 
-def least_squares_loo_scores(ds: LabeledDataset, lam: float = 0.0):
-    """Each row's score under the fit to all the other rows, without a refit;
-    None when the fit to all rows fails, or when a row's leverage is so near
-    1 that its complement is singular.
+def least_squares_loo_scores(ds: LabeledDataset, model: LinearHypothesis, lam: float = 0.0):
+    """Each row's score under the fit to all the other rows, from ``model``,
+    the fit to all rows with ridge ``lam``; None when a row's leverage is so
+    near 1 that its complement is singular.
 
     With G the normal matrix and a the row with its bias entry, the row's
     leverage is h = a^T G^-1 a, and leaving it out turns its score s into
     (s - h y)/(1 - h): Allen's PRESS residual, which holds for ridge too.
     """
-    model = fitted_or_none(train_least_squares, ds, lam)
-    if model is None:
-        return None
     A, gram = _normal_equations(ds, lam)
     h = np.einsum("ij,ji->i", A, np.linalg.solve(gram, A.T))
     if np.any(1.0 - h <= NEAR_SINGULAR):

@@ -219,8 +219,8 @@ class TestEval:
         {"name": "kernel_ridge", "params": {"lambda": 0.0}},
     ])
     def test_bad_parameter_exits_2_under_every_resampling(self, workdir, capsys, method, trainer):
-        # parzen and linear reject these values only when they fit, inside the
-        # resampling loop; kernel ridge rejects its lambda when it is built
+        # each trainer rejects its value only when it fits, inside the resampling
+        # loop; under loo the fit to all rows fails, so the refits raise it
         cfg = {
             "problem": str(workdir / "problem.json"),
             "n": 20,

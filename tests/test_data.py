@@ -52,6 +52,18 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 5.0
 
+    def test_subset_takes_only_integer_indices(self):
+        ds = LabeledDataset([[0.0], [1.0], [2.0]], [-1, 1, -1])
+        for wrong in (np.array([True, False, True]), [0.9, 2.7], [[0, 1]]):
+            with pytest.raises(ValueError, match="1-D array of integers"):
+                ds.subset(wrong)
+        with pytest.raises(ValueError, match="at least one row"):
+            ds.subset([])
+        for right in ([2, 0], np.array([2, 0], dtype=np.uint8), (-1, 0)):
+            np.testing.assert_array_equal(ds.subset(right).features[:, 0], [2.0, 0.0])
+        with pytest.raises(IndexError):
+            ds.subset([3])
+
 
 class TestLoadCsv:
     def test_basic_file(self, tmp_path):

@@ -5,6 +5,7 @@ its parameter cases in ``LOO_CASES``, so a shortcut added later is checked
 here without further work.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from claslab.data import LabeledDataset
 from claslab.evaluation import Trainer, loo_cv
 from claslab.exceptions import EstimationError
 from claslab.generative import fit_lda, fit_parzen
+from claslab.kernels import Kernel, train_kernel_machine
 from claslab.linear import train_least_squares
 from claslab.neighbors import fit_knn
 from claslab.oracle import GaussianMixtureProblem, sample
@@ -65,16 +67,19 @@ def refit_scores(trainer, ds):
 
 
 def test_every_trainer_with_a_shortcut_has_cases():
-    with_shortcut = [
-        name for name in TRAINERS if hasattr(build(name, BUILD_PARAMS.get(name, {})), "loo_scores")
-    ]
+    trainers = {name: build(name, BUILD_PARAMS.get(name, {})) for name in TRAINERS}
+    with_shortcut = [name for name, trainer in trainers.items() if hasattr(trainer, "loo_scores")]
     assert sorted(with_shortcut) == sorted(LOO_CASES)
+    assert all(isinstance(trainers[name], Trainer) for name in with_shortcut)
 
 
-@pytest.mark.parametrize("name, params", [
+CASES = pytest.mark.parametrize("name, params", [
     pytest.param(name, p, id="-".join([name, *(f"{k}={v}" for k, v in p.items())]))
     for name, cases in LOO_CASES.items() for p in cases
 ])
+
+
+@CASES
 def test_shortcut_scores_match_refits(name, params):
     trainer = build(name, params)
     for ds in datasets():
@@ -86,6 +91,21 @@ def test_shortcut_scores_match_refits(name, params):
         np.testing.assert_array_equal(
             np.sign(shortcut[decided]) >= 0, np.sign(refit[decided]) >= 0
         )
+
+
+@CASES
+def test_loo_cv_fits_all_rows_once_and_equals_refitting(name, params):
+    trainer = build(name, params)
+    for ds in datasets():
+        fits = []
+
+        def counted(d):
+            fits.append(d)
+            return trainer.fit(d)
+
+        estimate = loo_cv(dataclasses.replace(trainer, fit=counted), ds)
+        assert len(fits) == 1 and fits[0] == ds
+        assert estimate == loo_cv(trainer.fit, ds)  # a bare fit is refitted on every complement
 
 
 @pytest.mark.parametrize("name", list(LOO_CASES))
@@ -142,9 +162,16 @@ DEGENERATE = {
         LabeledDataset([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [5.0, 7.0]],
                        [1, 1, -1, -1, -1]),
     ),
+    # (1e160)^2 overflows: the fit to all rows and the refit without row 0 fail
+    "kernel_ridge_overflow": (
+        ("kernel_ridge", {"kernel": "poly2_homogeneous", "lambda": 1.0}),
+        lambda d: train_kernel_machine(d, Kernel("poly2_homogeneous"), 1.0),
+        LabeledDataset([[0.0], [1.0], [1e160]], [1, -1, 1]),
+    ),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(DEGENERATE))
 def test_a_complement_that_cannot_be_fitted_raises_as_the_refits_do(case):
     (name, params), fit, ds = DEGENERATE[case]
@@ -158,8 +185,17 @@ def test_one_row_class_names_index_0():
         assert kind is EstimationError and "index 0" in message
 
 
+def test_kernel_ridge_overflow_names_index_0():
+    (name, params), _, ds = DEGENERATE["kernel_ridge_overflow"]
+    assert raised(build(name, params), ds) == (
+        EstimationError,
+        "trainer failed with held-out rows (index 0): "
+        "kernel ridge solve produced non-finite coefficients",
+    )
+
+
 def test_an_error_inside_a_closed_form_is_not_taken_for_a_decline():
-    def broken(ds):
+    def broken(ds, model):
         raise ValueError("operands could not be broadcast together")
 
     with pytest.raises(ValueError, match="broadcast"):
