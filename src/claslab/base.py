@@ -9,10 +9,19 @@ package (loss kinks, vote ties, leaf-label ties, threshold hits).
 import numpy as np
 
 _BLOCK = 4096  # query rows scored per decision_function call in predict
-# a leave-one-out closed form declines a complement whose system may be this
-# near singular relative to its scale: only the refit it stands for can tell
-# whether that refit fails
+# a leave-one-out closed form or a bootstrap round scorer declines a complement
+# or round whose system may be this near singular relative to its scale: only
+# the refit it stands for can tell whether that refit fails
 NEAR_SINGULAR = 1e-8
+
+
+def well_conditioned(systems) -> bool:
+    """Whether every symmetric matrix of the stack is finite, with its smallest
+    eigenvalue above ``NEAR_SINGULAR`` times its largest."""
+    if not np.all(np.isfinite(systems)):
+        return False
+    spectrum = np.linalg.eigvalsh(systems)
+    return bool(np.all(spectrum[..., 0] > NEAR_SINGULAR * spectrum[..., -1]))
 
 
 def sign_labels(scores) -> np.ndarray:

@@ -22,13 +22,16 @@ import sys
 from pathlib import Path
 
 from . import evaluation
-from .data import REQUIRED, _get, _typed, child_seed, load_csv, read_json, save_csv
+from .data import REQUIRED, _get, _shown, _typed, child_seed, load_csv, read_json, save_csv
 from .ensembles import TreeConfig, adaboost, bagging, random_subspace
 from .features import make_pipeline_trainer, split_transform_spec
-from .generative import fit_lda, fit_parzen, lda_loo_scores, parzen_loo_scores
+from .generative import (
+    fit_lda, fit_parzen, lda_loo_scores, lda_round_scores, parzen_loo_scores,
+)
 from .kernels import Kernel, kernel_ridge_loo_scores, train_kernel_machine
 from .linear import (
-    TrainConfig, least_squares_loo_scores, train_least_squares, train_linear, train_logistic,
+    TrainConfig, least_squares_loo_scores, least_squares_round_scores, train_least_squares,
+    train_linear, train_logistic,
 )
 from .neighbors import fit_knn, knn_loo_scores
 from .neural import NetTrainConfig, train_net
@@ -45,13 +48,17 @@ _RUNTIME_ERRORS = (RuntimeError, MemoryError)
 _DATA, _TRAIN, _EST, _CURVE = 0, 1, 2, 3
 
 _KWARGS = {"lambda": "lam"}  # config key -> keyword, where the key is reserved in Python
+# schema key -> the largest value it takes, in every registry: each round is
+# a fit, so a count past this would run for longer than anyone waits
+AT_MOST = {"m_rounds": 100_000, "t_rounds": 100_000}
 
 
 def _choose(table, name, params, what):
     """Look ``name`` up in a registry and check ``params`` against its schema.
 
     A registry maps each name to (schema, builder); a schema maps each
-    parameter to (type, default or REQUIRED).  Returns (builder, keyword
+    parameter to (type, default or REQUIRED), and a parameter named in
+    ``AT_MOST`` may not exceed its bound.  Returns (builder, keyword
     arguments for it).
     """
     if not isinstance(name, str) or name not in table:
@@ -62,10 +69,13 @@ def _choose(table, name, params, what):
     unknown = sorted(set(params) - set(schema))
     if unknown:
         raise ValueError(f"unknown parameters for {what}: {unknown}")
-    return build, {
-        _KWARGS.get(key, key): _get(params, key, type_, default, what)
-        for key, (type_, default) in schema.items()
-    }
+    kwargs = {}
+    for key, (type_, default) in schema.items():
+        value = _get(params, key, type_, default, what)
+        if key in AT_MOST and value > AT_MOST[key]:
+            raise ValueError(f"{what} {key!r} must be at most {AT_MOST[key]}, got {_shown(value)}")
+        kwargs[_KWARGS.get(key, key)] = value
+    return build, kwargs
 
 
 def _linear(p, seed, problem):
@@ -103,7 +113,8 @@ _TREES = {"max_depth": (int, 3), "min_leaf_size": (int, 1), "m_rounds": (int, RE
 
 # name -> (schema, builder(params, seed, problem) -> trainer).  A trainer is
 # any callable from a dataset to a model: a closure, or an evaluation.Trainer,
-# which also scores leave-one-out in closed form from the fit to all rows.
+# which also scores leave-one-out in closed form from the fit to all rows,
+# or bootstrap rounds as weighted fits, or both.
 # Trainers call the fit functions through module-level names when they run,
 # so a tool that rebinds those names (a tracer) sees every fit.
 TRAINERS = {
@@ -113,6 +124,7 @@ TRAINERS = {
         lambda p, *_: evaluation.Trainer(
             lambda ds: fit_lda(ds, **p),
             lambda ds, model: lda_loo_scores(ds, model, p["laplace_priors"], p["unbiased_cov"]),
+            lambda X, y, C: lda_round_scores(X, y, C, **p),
         ),
     ),
     "parzen": (
@@ -125,6 +137,7 @@ TRAINERS = {
         lambda p, *_: evaluation.Trainer(
             lambda ds: train_least_squares(ds, **p),
             lambda ds, model: least_squares_loo_scores(ds, model, **p),
+            lambda X, y, C: least_squares_round_scores(X, y, C, **p),
         ),
     ),
     "linear": ({"loss": (str, REQUIRED), **_GD}, _linear),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import base
 from .base import sign_labels
 from .data import (
     FoldAssignment, LabeledDataset, _holdout_rows, bootstrap_sample, child_seed, make_folds,
@@ -28,23 +29,34 @@ from . import features as _features
 
 @dataclass(frozen=True)
 class Trainer:
-    """A trainer whose fit has a closed-form leave-one-out.
+    """A trainer whose refits some estimators can do without.
 
-    ``fit(ds)`` returns the model; ``closed_form(ds, model)`` turns the fit
-    to all rows into the score of each row under the fit to all the other
-    rows, or None when some complement needs a refit to say what happens
-    to it.
+    ``fit(ds)`` returns the model.  Two optional shortcuts stand for refits,
+    each returning None to decline, and the estimator then refits:
+
+    * ``closed_form(ds, model)`` turns the fit to all rows into the score of
+      each row under the fit to all the other rows (leave-one-out);
+    * ``round_scores(X, y, C)`` gives, for each row r of the (R, n) count
+      matrix ``C``, every row's score under the fit to all n rows, row i
+      weighted by ``C[r, i]``: the rows of a bootstrap round drawn with
+      repeats.  ``X`` is the (n, d) features, or an (R, n, d) stack of them
+      after a step fitted per round, and ``y`` the labels.  It declines
+      wherever a round's refit might fail or fit something else.
     """
 
     fit: Callable
-    closed_form: Callable
+    closed_form: Callable | None = None
+    round_scores: Callable | None = None
 
     def __call__(self, ds: LabeledDataset):
         return self.fit(ds)
 
     def loo_scores(self, ds: LabeledDataset):
-        """The closed form of the fit to all rows; None when that fit fails,
-        so the refits raise its error themselves, naming the held-out row."""
+        """The closed form of the fit to all rows; None, without a fit, when
+        there is no closed form, and None when that fit fails, so the
+        refits raise its error themselves, naming the held-out row."""
+        if self.closed_form is None:
+            return None
         try:
             model = self.fit(ds)
         except (ValueError, RuntimeError):
@@ -165,6 +177,49 @@ def _retry(draw, ok, what: str):
     raise EstimationError(f"10 draws in a row gave {what}")
 
 
+def _chunks(items, width: int):
+    """Lists of the next ``width`` items.  When drawing an item raises, the
+    items drawn before it come first, so the work on them runs, and fails,
+    before that error, as it would have one item at a time."""
+    chunk = []
+    try:
+        for item in items:
+            chunk.append(item)
+            if len(chunk) == width:
+                yield chunk
+                chunk = []
+    except EstimationError:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
+def _bootstrap_rounds(trainer, ds: LabeledDataset, samples, test):
+    """Each bootstrap round with the mistake mask, on the rows ``test(sample)``,
+    of the fit to its rows: pairs (sample, mask), in the order of ``samples``.
+
+    A :class:`Trainer` with ``round_scores`` scores the rounds a chunk at a
+    time from their count matrix, in at most ``base._BLOCK`` (round, row)
+    cells, so memory does not grow with the round count.  A chunk it
+    declines, and every round of any other trainer, is refitted, round by
+    round, through :func:`_mistakes`.
+    """
+    scorer = trainer.round_scores if isinstance(trainer, Trainer) else None
+    for chunk in _chunks(samples, max(1, base._BLOCK // ds.n)):
+        scores = None
+        if scorer is not None:
+            counts = np.stack([np.bincount(s.indices, minlength=ds.n) for s in chunk])
+            scores = scorer(ds.features, ds.labels, counts.astype(float))
+        for r, s in enumerate(chunk):
+            rows = test(s)
+            if scores is None:
+                yield s, _mistakes(trainer, ds, s.indices, rows)
+            else:
+                yield s, sign_labels(scores[r, rows]) != ds.labels[rows]
+
+
 def bootstrap_corrected(
     trainer, ds: LabeledDataset, m_rounds: int, seed: int = 0
 ) -> ErrorEstimate:
@@ -172,15 +227,18 @@ def bootstrap_corrected(
 
     The bias is the mean over rounds of (error on the bootstrap sample
     itself) - (error on the full set), both for the round's classifier.
+    Round r draws from ``child_seed(seed, r)``.  A :class:`Trainer` with
+    ``round_scores`` scores the rounds as weighted fits, fitting only the
+    apparent one; any other trainer is refitted on every round.
     """
     if m_rounds < 1:
         raise ValueError("m_rounds must be at least 1")
     apparent = zero_one_error(trainer(ds), ds)
-    diffs = []
-    for r in range(m_rounds):
-        drawn = bootstrap_sample(ds, child_seed(seed, r)).indices
-        mask = _mistakes(trainer, ds, drawn, slice(None))
-        diffs.append(int(np.sum(mask[drawn])) / ds.n - int(np.sum(mask)) / ds.n)
+    samples = (bootstrap_sample(ds, child_seed(seed, r)) for r in range(m_rounds))
+    diffs = [
+        int(np.sum(mask[s.indices])) / ds.n - int(np.sum(mask)) / ds.n
+        for s, mask in _bootstrap_rounds(trainer, ds, samples, lambda s: slice(None))
+    ]
     bias = float(np.mean(diffs))
     raw = apparent - bias
     value = min(1.0, max(0.0, raw))
@@ -197,18 +255,26 @@ def e632_combine(apparent: float, out_of_bootstrap: float) -> float:
 
 
 def e632(trainer, ds: LabeledDataset, m_rounds: int, seed: int = 0) -> ErrorEstimate:
-    """The .632 estimator: 0.368 apparent + 0.632 pooled out-of-bag error."""
+    """The .632 estimator: 0.368 apparent + 0.632 pooled out-of-bag error.
+
+    Round r draws from ``child_seed(seed, r, attempt)``, the first of ten
+    attempts that leaves a row out of the bag.  A :class:`Trainer` with
+    ``round_scores`` scores the rounds as weighted fits, fitting only the
+    apparent one; any other trainer is refitted on every round.
+    """
     if m_rounds < 1:
         raise ValueError("m_rounds must be at least 1")
     apparent = zero_one_error(trainer(ds), ds)
-    mistakes = tested = 0
-    for r in range(m_rounds):
-        bs = _retry(
+    samples = (
+        _retry(
             lambda attempt: bootstrap_sample(ds, child_seed(seed, r, attempt)),
             lambda drawn: drawn.out_of_bag.size > 0,
             f"no out-of-bag row in bootstrap round {r}",
         )
-        mask = _mistakes(trainer, ds, bs.indices, bs.out_of_bag)
+        for r in range(m_rounds)
+    )
+    mistakes = tested = 0
+    for _, mask in _bootstrap_rounds(trainer, ds, samples, lambda s: s.out_of_bag):
         mistakes += int(np.sum(mask))
         tested += mask.size
     oob_error = mistakes / tested

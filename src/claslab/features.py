@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DecisionFunction, freeze
+from .base import NEAR_SINGULAR, DecisionFunction, freeze
 from .data import LabeledDataset, child_seed
 
 
@@ -45,6 +45,17 @@ class FeatureTransform:
         """Rowwise feature map, usable on unlabeled query points."""
         raise NotImplementedError
 
+    def fit_rounds(self, X: np.ndarray, C: np.ndarray):
+        """``X`` mapped, for each row of the (R, n) count matrix ``C``, by the
+        step fitted to the rows weighted by it (a bootstrap round's drawn
+        rows, repeats included), or None when some round's fit is in doubt.
+
+        ``X`` is (n, d), or (R, n, d) after an earlier step fitted per round.
+        A step that is not learned maps the last axis, whatever the leading
+        axes; a learned step, one that overrides ``fit``, overrides this too.
+        """
+        return self.map(X)
+
     def apply(self, ds: LabeledDataset) -> LabeledDataset:
         return LabeledDataset(self.map(ds.features), ds.labels)
 
@@ -55,15 +66,15 @@ class FeatureTransform:
 
 
 def poly2_block(X: np.ndarray) -> np.ndarray:
-    """All unique degree-2 monomials of the rows, cross terms * sqrt(2)."""
-    i, j = np.triu_indices(X.shape[1])
-    return np.where(i == j, 1.0, np.sqrt(2.0)) * X[:, i] * X[:, j]
+    """All unique degree-2 monomials of the rows (the last axis), cross terms * sqrt(2)."""
+    i, j = np.triu_indices(X.shape[-1])
+    return np.where(i == j, 1.0, np.sqrt(2.0)) * X[..., i] * X[..., j]
 
 
 @dataclass(frozen=True)
 class Poly2Expand(FeatureTransform):
     def map(self, X):
-        return np.hstack([X, poly2_block(X)])
+        return np.concatenate([X, poly2_block(X)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,22 @@ class Standardize(FeatureTransform):
         std = ds.features.std(axis=0)
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean, std)
+
+    @classmethod
+    def fit_rounds(cls, X, C):
+        """Each round's weighted mean and std, as ``fit`` takes them from the
+        drawn rows; None when some round's std of a column is at most
+        ``NEAR_SINGULAR`` times its mean's magnitude: a column constant on the
+        drawn rows, or constant to within rounding, where ``fit``'s rule
+        ``std == 0.0 -> 1.0`` cannot be followed to the bit."""
+        share = (C / C.sum(axis=1, keepdims=True))[:, None, :]
+        mean = np.matmul(share, X)
+        centered = X - mean
+        std = np.sqrt(np.matmul(share, centered**2))
+        if not np.all(std > NEAR_SINGULAR * np.abs(mean)):
+            return None
+        centered /= std
+        return centered
 
     def map(self, X):
         return (X - self.mean) / self.std
@@ -116,9 +143,9 @@ class Select(FeatureTransform):
 
     def map(self, X):
         idx = np.asarray(self.indices, dtype=int)
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= X.shape[1]:
-            raise ValueError(f"select indices must lie in [0, {X.shape[1]})")
-        return X[:, idx]
+        if idx.size == 0 or idx.min() < 0 or idx.max() >= X.shape[-1]:
+            raise ValueError(f"select indices must lie in [0, {X.shape[-1]})")
+        return X[..., idx]
 
 
 def apply_transform(t: FeatureTransform, ds: LabeledDataset) -> LabeledDataset:
@@ -218,7 +245,15 @@ def make_pipeline_trainer(chain, base_trainer):
     included) on whatever training set the trainer receives, then
     replayed on query points by the returned pipeline, so estimator
     resampling never leaks test statistics into the fit.
+
+    When the base is an ``evaluation.Trainer`` with ``round_scores``, the
+    result is one too: each step follows the weights of a chunk of bootstrap
+    rounds (:meth:`FeatureTransform.fit_rounds`) and the base scores the
+    mapped rows; a chunk that a step or the base declines is refitted.  It
+    has no leave-one-out closed form.  Any other base gives a plain callable.
     """
+    from .evaluation import Trainer  # local import: evaluation imports us
+
     if any(step.per_dataset for step in chain):
         raise ValueError(
             "noise steps belong to the dataset, not a pipeline; "
@@ -229,7 +264,17 @@ def make_pipeline_trainer(chain, base_trainer):
         fitted, mapped = fit_transform_chain(chain, ds)
         return PipelineClassifier(tuple(fitted), base_trainer(mapped))
 
-    return train
+    if not (isinstance(base_trainer, Trainer) and base_trainer.round_scores):
+        return train
+
+    def round_scores(X, y, C):
+        for step in chain:
+            X = step.fit_rounds(X, C)
+            if X is None:
+                return None
+        return base_trainer.round_scores(X, y, C)
+
+    return Trainer(train, round_scores=round_scores)
 
 
 def forward_select(

@@ -14,7 +14,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, freeze, point_or_batch
+from .base import (
+    NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, freeze, point_or_batch, well_conditioned,
+)
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
 from .oracle import LOG_2PI
@@ -117,11 +119,12 @@ def fit_lda(
 
 def _lda_moments(n_pos, n, scatter, laplace_priors, unbiased_cov):
     """(prior_pos, pooled covariance) of n rows, n_pos of them positive, whose
-    rows minus their class means have the cross-product ``scatter``."""
+    rows minus their class means have the cross-product ``scatter``; each may
+    be an array of such, broadcasting together."""
     prior_pos = (n_pos + 1.0) / (n + 2.0) if laplace_priors else n_pos / n
     cov = scatter / n
     if unbiased_cov:
-        if n <= 2:
+        if np.any(n <= 2):
             raise FitError("unbiased_cov needs N > 2")
         cov = cov * (n / (n - 2.0))
     return prior_pos, cov
@@ -170,6 +173,44 @@ def lda_loo_scores(
         np.log(prior_pos) - np.log(1.0 - prior_pos)
         + np.where(pos, 0.5, -0.5) * (d_other - d_own)
     )
+
+
+def lda_round_scores(
+    X, y, C, laplace_priors: bool = False, unbiased_cov: bool = False, ridge_cov: float = 0.0
+):
+    """Every row's score under the LDA fit to the rows weighted by each row of
+    the count matrix ``C`` (see ``evaluation.Trainer.round_scores``); None
+    when a round has a class with no weight, when a round's covariance plus
+    ridge is too near singular to tell whether its refit would fail, or when
+    ``unbiased_cov`` meets a round of at most two rows.
+
+    A weight counts a row that many times in the class counts, means and
+    pooled scatter, so each round is the fit to its drawn rows, repeats
+    included; the score is the fit's w . x + offset.
+    """
+    pos = y == 1
+    n_pos, n = C @ pos, C.sum(axis=1)
+    if np.any(n_pos == 0) or np.any(n_pos == n) or (unbiased_cov and np.any(n <= 2)):
+        return None
+    means = [np.matmul((C * own)[:, None, :], X)[:, 0] / count[:, None]
+             for own, count in ((pos, n_pos), (~pos, n - n_pos))]  # (R, d) each
+    centered = X - np.where(pos[:, None], means[0][:, None, :], means[1][:, None, :])
+    scatter = np.matmul(np.swapaxes(centered * C[:, :, None], 1, 2), centered)
+    prior_pos, cov = _lda_moments(
+        n_pos[:, None, None], n[:, None, None], scatter, laplace_priors, unbiased_cov
+    )
+    solve_cov = cov + ridge_cov * np.eye(X.shape[-1])
+    if not well_conditioned(solve_cov):
+        return None
+    # columns: cov^-1 mean_pos, cov^-1 mean_neg
+    solved = np.linalg.solve(solve_cov, np.stack(means, axis=-1))
+    weight = solved[..., 0] - solved[..., 1]
+    offset = (
+        np.log(prior_pos[:, 0, 0]) - np.log(1.0 - prior_pos[:, 0, 0])
+        - 0.5 * (np.sum(means[0] * solved[..., 0], axis=1)
+                 - np.sum(means[1] * solved[..., 1], axis=1))
+    )
+    return np.matmul(X, weight[:, :, None])[..., 0] + offset[:, None]
 
 
 def lda_decision(model: LdaModel, x):

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, freeze, point_or_batch
+from .base import (
+    NEAR_SINGULAR, DecisionFunction, as_matrix, freeze, point_or_batch, well_conditioned,
+)
 from .data import LabeledDataset
 from .exceptions import NumericError
 from .features import Standardize
@@ -244,6 +246,26 @@ def least_squares_loo_scores(ds: LabeledDataset, model: LinearHypothesis, lam: f
     if np.any(1.0 - h <= NEAR_SINGULAR):
         return None
     return (model.decision_function(ds.features) - h * ds.labels) / (1.0 - h)
+
+
+def least_squares_round_scores(X, y, C, lam: float = 0.0):
+    """Every row's score under the ridge least-squares fit to the rows weighted
+    by each row of the count matrix ``C`` (see
+    ``evaluation.Trainer.round_scores``); None when a round's normal matrix is
+    too near singular to tell whether its refit would fail.
+
+    A weight counts a row that many times in the normal equations
+    A^T diag(c) A theta = A^T diag(c) y, so each round is the fit to its
+    drawn rows, repeats included.
+    """
+    A = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+    weighted = np.swapaxes(A * C[:, :, None], 1, 2)  # (R, d + 1, n)
+    gram = np.matmul(weighted, A)
+    gram[:, :-1, :-1] += lam * np.eye(X.shape[-1])
+    if not well_conditioned(gram):
+        return None
+    theta = np.linalg.solve(gram, np.matmul(weighted, y.astype(float)[:, None]))
+    return np.matmul(A, theta)[..., 0]
 
 
 def posterior_pos(h: LinearHypothesis, x):

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claslab.cli import _KWARGS, CURVES, ESTIMATORS, REQUIRED, TRAINERS, main
+from claslab.cli import _KWARGS, AT_MOST, CURVES, ESTIMATORS, REQUIRED, TRAINERS, _choose, main
 from claslab.data import load_csv
 from claslab.ensembles import TreeConfig
 from claslab.evaluation import apparent_error, feature_curve, holdout_error, kfold_cv
@@ -789,6 +790,46 @@ def test_any_wrong_json_type_keeps_the_exit_code_contract(hypothesis_dir, data, 
     assert run(hypothesis_dir, command, cfg) in (0, 2, 3)
 
 
+# (registry, name, key, the entry's other required parameters): every round count
+ROUND_COUNTS = [
+    ("estimator", "bootstrap_corrected", "m_rounds", {}),
+    ("estimator", "e632", "m_rounds", {}),
+    ("trainer", "bagging", "m_rounds", {}),
+    ("trainer", "random_subspace", "m_rounds", {"subspace_dim": 1}),
+    ("trainer", "adaboost", "t_rounds", {}),
+]
+REGISTRIES = {"estimator": ESTIMATORS, "trainer": TRAINERS}
+
+
+def with_rounds(workdir, command, what, name, key, others, rounds):
+    cfg = small_config(workdir, command)
+    if what == "estimator":
+        return {**cfg, "estimator": {"method": name, key: rounds}}
+    trainer = {"name": name, "params": {**others, key: rounds}}
+    return {**cfg, **({"trainer": trainer} if command == "eval" else {"trainers": [trainer]})}
+
+
+@pytest.mark.parametrize("command", ["eval", "bench"])
+@pytest.mark.parametrize("what, name, key, others", ROUND_COUNTS)
+def test_a_round_count_past_its_bound_exits_2_at_once(
+    workdir, capsys, command, what, name, key, others
+):
+    start = time.monotonic()
+    cfg = with_rounds(workdir, command, what, name, key, others, 10**30)
+    assert run(workdir, command, cfg) == 2
+    assert time.monotonic() - start < 5.0
+    assert capsys.readouterr().err == (
+        f"config error: {what} {name!r} {key!r} must be at most {AT_MOST[key]}, got {10**30}\n"
+    )
+
+
+def test_every_round_count_has_a_bound_that_the_schema_accepts():
+    assert {key for _, _, key, _ in ROUND_COUNTS} == set(AT_MOST)
+    for what, name, key, others in ROUND_COUNTS:
+        _, kwargs = _choose(REGISTRIES[what], name, {**others, key: AT_MOST[key]}, what)
+        assert kwargs[key] == AT_MOST[key]
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(data=st.data(), command=st.sampled_from(["gen", "eval", "bench", "curve"]))
 def test_any_wrong_json_type_in_the_problem_file_keeps_the_exit_code_contract(
@@ -815,6 +856,7 @@ def readme_table(heading):
 def schema_text(schema):
     return ", ".join(
         f"`{key}` {TYPE_NAMES[type_]}"
+        + (f" up to {AT_MOST[key]:,}" if key in AT_MOST else "")
         + (", required" if default is REQUIRED else f" = {json.dumps(default)}")
         for key, (type_, default) in schema.items()
     ) or "none"

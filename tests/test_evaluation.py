@@ -1,13 +1,18 @@
 """Error estimators and curves, checked against hand enumeration."""
 
+import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from claslab import base
+from claslab.cli import TRAINERS, _choose
 from claslab.data import LabeledDataset, bootstrap_sample, child_seed, make_folds, split_holdout
 from claslab.evaluation import (
     ErrorEstimate,
+    Trainer,
     apparent_error,
     bootstrap_corrected,
     e632,
@@ -21,10 +26,11 @@ from claslab.evaluation import (
     zero_one_error,
 )
 from claslab.exceptions import EstimationError, FitError
+from claslab.features import Standardize, make_pipeline_trainer, parse_transform_spec
 from claslab.generative import fit_lda, fit_parzen
 from claslab.linear import train_least_squares
 from claslab.neighbors import fit_knn
-from claslab.oracle import equal_cov_problem, sample
+from claslab.oracle import GaussianMixtureProblem, equal_cov_problem, sample
 from claslab.trees import fit_tree
 
 THREE = LabeledDataset([[0.0], [1.0], [10.0]], [-1, -1, 1])
@@ -427,3 +433,207 @@ def test_estimators_equal_the_hand_written_loops(trainer, case):
         train, ds, rounds, seed
     )
     assert e632(train, ds, rounds, seed) == reference_e632(train, ds, rounds, seed)
+
+
+# Registry trainers that score bootstrap rounds as weighted fits, each case
+# also run behind the pipelines listed in ROUND_PIPELINES.
+ROUND_CASES = {
+    "lda": [{}, {"laplace_priors": True}, {"unbiased_cov": True}, {"ridge_cov": 0.5},
+            {"laplace_priors": True, "unbiased_cov": True, "ridge_cov": 0.01}],
+    "least_squares": [{}, {"lambda": 0.1}],
+}
+ROUND_PIPELINES = ["", "standardize+poly2", "select:0"]
+ROUND_PROBLEM = GaussianMixtureProblem(
+    0.4, np.array([0.8, 0.0, 0.4]), np.array([-0.8, 0.2, -0.4]),
+    np.diag([0.5, 1.0, 2.0]), np.eye(3),
+)
+# enough parameters to build each trainer that has required ones
+BUILD_PARAMS = {
+    "parzen": {"bandwidth": 1.0}, "linear": {"loss": "hinge"}, "kernel_ridge": {"lambda": 1.0},
+    "knn": {"k": 1}, "tree": {"max_depth": 1}, "bagging": {"m_rounds": 1},
+    "random_subspace": {"m_rounds": 1, "subspace_dim": 1}, "adaboost": {"t_rounds": 1},
+}
+
+
+def build(name, params, spec=""):
+    builder, kwargs = _choose(TRAINERS, name, params, "trainer")
+    trainer = builder(kwargs, 0, ROUND_PROBLEM)
+    return make_pipeline_trainer(parse_transform_spec(spec), trainer) if spec else trainer
+
+
+def counted(trainer):
+    """``trainer`` with its fit wrapped to record every dataset it fits."""
+    fits = []
+
+    def fit(ds):
+        fits.append(ds)
+        return trainer.fit(ds)
+
+    return dataclasses.replace(trainer, fit=fit), fits
+
+
+def round_counts(ds, seed, rounds):
+    """The (rounds, n) count matrix of bootstrap_corrected's first rounds."""
+    draws = [bootstrap_sample(ds, child_seed(seed, r)).indices for r in range(rounds)]
+    return draws, np.stack([np.bincount(d, minlength=ds.n) for d in draws]).astype(float)
+
+
+def test_every_trainer_with_round_scores_has_cases():
+    trainers = {name: build(name, BUILD_PARAMS.get(name, {})) for name in TRAINERS}
+    with_rounds = [name for name, t in trainers.items() if getattr(t, "round_scores", None)]
+    assert sorted(with_rounds) == sorted(ROUND_CASES)
+
+
+@pytest.mark.parametrize("name, params, spec", [
+    pytest.param(name, p, spec, id="-".join(
+        [name, *(f"{k}={v}" for k, v in p.items()), *([spec] if spec else [])]
+    ))
+    for name, cases in ROUND_CASES.items() for p in cases for spec in ROUND_PIPELINES
+])
+@pytest.mark.parametrize("n", [30, 57])
+def test_bootstrap_rounds_are_scored_without_refits_as_the_refits_score_them(
+    name, params, spec, n
+):
+    trainer = build(name, params, spec)
+    ds = sample(ROUND_PROBLEM, n, seed=n)
+    draws, counts = round_counts(ds, 7, 12)
+    scores = trainer.round_scores(ds.features, ds.labels, counts)
+    refit = np.array([trainer.fit(ds.subset(d)).decision_function(ds.features) for d in draws])
+    assert np.max(np.abs(scores - refit) / (1.0 + np.abs(refit))) < 1e-9
+    for estimator, reference in [(bootstrap_corrected, reference_bootstrap_corrected),
+                                 (e632, reference_e632)]:
+        once, fits = counted(trainer)
+        assert estimator(once, ds, 40, 7) == reference(trainer.fit, ds, 40, 7)
+        assert fits == [ds]  # the apparent fit alone: every round was scored
+
+
+def test_a_declined_chunk_refits_only_its_own_rounds(monkeypatch):
+    """With one round per chunk, a scorer that declines every other chunk
+    leaves half the rounds to refits, and the estimate does not change."""
+    monkeypatch.setattr("claslab.base._BLOCK", 30)
+    trainer = build("lda", {})
+    ds = sample(ROUND_PROBLEM, 30, seed=3)
+    calls = []
+
+    def every_other(X, y, C):
+        calls.append(len(C))
+        return None if len(calls) % 2 else trainer.round_scores(X, y, C)
+
+    once, fits = counted(dataclasses.replace(trainer, round_scores=every_other))
+    assert e632(once, ds, 10, 4) == reference_e632(fit_lda, ds, 10, 4)
+    assert calls == [1] * 10 and len(fits) == 1 + 5
+
+
+def outcome(estimator, trainer, ds, rounds, seed):
+    """The estimate, or the type and message of the error it raised."""
+    try:
+        return estimator(trainer, ds, rounds, seed)
+    except (EstimationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def declining_seed(trainer, ds, rounds):
+    """The first seed whose first bootstrap_corrected rounds the scorer declines."""
+    for seed in range(500):
+        if trainer.round_scores(ds.features, ds.labels, round_counts(ds, seed, rounds)[1]) is None:
+            return seed
+    raise AssertionError("no seed declines")
+
+
+# (trainer, dataset): some bootstrap round's refit may fail or fit something
+# the weighted fit cannot follow to the bit, so the scorer must decline
+DECLINING = {
+    # two positives in eight rows: some round draws negatives only
+    "lda_one_class": (
+        ("lda", {}, ""),
+        LabeledDataset(np.arange(8.0)[:, None], [1, -1, -1, -1, -1, -1, -1, 1]),
+    ),
+    # five rows in d = 3: most rounds draw fewer distinct rows than d + 1
+    "least_squares_few_rows": (
+        ("least_squares", {}, ""),
+        LabeledDataset([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0], [3.0, 1.5, 1.0],
+                        [0.5, 3.0, 2.5]], [1, -1, 1, -1, 1]),
+    ),
+    # column 1 is 0.3 but for row 7: a round that misses row 7 sees it
+    # constant, and its weighted std is a rounding error, not 0
+    "standardize_constant_column": (
+        ("least_squares", {"lambda": 0.1}, "standardize"),
+        LabeledDataset(np.column_stack([np.arange(8.0), [0.3] * 7 + [1.0]]),
+                       [1, -1, 1, 1, -1, 1, -1, -1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DECLINING))
+def test_a_round_in_doubt_is_declined_and_refitted_as_the_loop_does(case):
+    (name, params, spec), ds = DECLINING[case]
+    trainer = build(name, params, spec)
+    seed = declining_seed(trainer, ds, 4)
+    for estimator in (bootstrap_corrected, e632):
+        # a bare fit is refitted on every round
+        assert outcome(estimator, trainer, ds, 4, seed) == outcome(
+            estimator, trainer.fit, ds, 4, seed
+        )
+
+
+def test_standardize_declines_exactly_the_rounds_with_a_constant_column():
+    _, ds = DECLINING["standardize_constant_column"]
+    for seed in range(40):
+        draws, counts = round_counts(ds, seed, 1)
+        mapped = Standardize.fit_rounds(ds.features, counts)
+        assert (mapped is None) == (7 not in draws[0])
+        if mapped is not None:
+            np.testing.assert_allclose(
+                mapped[0], Standardize.fit(ds.subset(draws[0])).map(ds.features),
+                rtol=1e-12, atol=1e-12,
+            )
+
+
+def test_a_round_with_one_class_names_its_held_out_rows():
+    (name, params, spec), ds = DECLINING["lda_one_class"]
+    trainer = build(name, params, spec)
+    seed = declining_seed(trainer, ds, 1)
+    drawn = bootstrap_sample(ds, child_seed(seed, 0)).indices
+    assert set(ds.labels[drawn]) == {-1}
+    held_out = ", ".join(map(str, np.setdiff1d(np.arange(ds.n), drawn)))
+    with pytest.raises(EstimationError, match=rf"\(index {held_out}\)"):
+        bootstrap_corrected(trainer, ds, 1, seed)
+
+
+def test_a_failing_draw_comes_after_the_rounds_before_it():
+    """Two rows: every e632 round draws one row twice, so its refit has one
+    class and fails, and now and then a round's ten draws all leave no row
+    out.  Round 0's refit fails first, as in the loop, though the later
+    round's draws fail while its chunk is gathered."""
+    ds = LabeledDataset([[0.0], [1.0]], [1, -1])
+    failing = next(
+        r for r in range(5000)
+        if all(bootstrap_sample(ds, child_seed(0, r, a)).out_of_bag.size == 0 for a in range(10))
+    )
+    assert failing < base._BLOCK // ds.n  # in the first chunk
+    with pytest.raises(EstimationError, match=f"no out-of-bag row in bootstrap round {failing}"):
+        e632(constant_trainer(1), ds, failing + 1, 0)
+    trainer = build("lda", {"ridge_cov": 1.0})
+    first = outcome(e632, trainer, ds, 1, 0)
+    assert first[0] is EstimationError and "held-out rows" in first[1]
+    for t in (trainer, trainer.fit):
+        assert outcome(e632, t, ds, failing + 1, 0) == first
+
+
+def test_bootstrap_memory_does_not_grow_with_the_round_count():
+    """A chunk holds at most base._BLOCK (round, row) cells: at n = 300 and
+    21 columns after standardize+poly2, a few arrays of that many cells by
+    21 floats, at 20 rounds as at 2,000."""
+    problem = equal_cov_problem(0.5, [0.8, 0.0, 0.4, 0.1, 0.0], [-0.8, 0.2, -0.4, 0.0, 0.3])
+    ds = sample(problem, 300, seed=5)
+    trainer = build("least_squares", {"lambda": 0.1}, "standardize+poly2")
+    peaks = []
+    for rounds in (20, 2000):
+        tracemalloc.start()
+        try:
+            e632(trainer, ds, rounds, seed=6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 6 * 8 * base._BLOCK * 21
