@@ -27,7 +27,6 @@ from .ensembles import (
     TreeConfig,
     adaboost,
     bagging,
-    boost_score,
     combine,
     random_subspace,
 )
@@ -52,7 +51,6 @@ from .features import (
     Select,
     Standardize,
     append_noise,
-    apply_transform,
     forward_select,
 )
 from .generative import (
@@ -60,8 +58,6 @@ from .generative import (
     ParzenModel,
     fit_lda,
     fit_parzen,
-    lda_decision,
-    parzen_decision,
 )
 from .kernels import (
     DissimilarityMap,
@@ -70,25 +66,22 @@ from .kernels import (
     dissim_embed,
     gram_matrix,
     kernel_eval,
-    km_decision,
     select_prototypes,
     train_kernel_machine,
 )
 from .linear import (
     LinearHypothesis,
     TrainConfig,
-    posterior_pos,
     train_least_squares,
     train_linear,
     train_logistic,
 )
 from .losses import Loss, get_loss
-from .neighbors import KnnClassifier, fit_knn, knn_classify
-from .neural import NetTrainConfig, OneHiddenLayerNet, net_forward, net_gradient, train_net
+from .neighbors import KnnClassifier, fit_knn
+from .neural import NetTrainConfig, OneHiddenLayerNet, net_gradient, train_net
 from .oracle import (
     BayesClassifier,
     GaussianMixtureProblem,
-    bayes_classify,
     bayes_error,
     equal_cov_problem,
     load_problem,
@@ -96,6 +89,6 @@ from .oracle import (
     true_error,
 )
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
-from .trees import DecisionTree, fit_tree, tree_classify, tree_trace
+from .trees import DecisionTree, fit_tree, tree_trace
 
 __version__ = "0.1.0"

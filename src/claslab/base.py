@@ -70,13 +70,3 @@ def freeze(obj, name: str, dtype=float, ndmin: int = 0, copy: bool = True) -> np
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
-
-
-def point_or_batch(answer, x):
-    """``answer(x)``; the answer coerces x and checks its width itself.
-
-    A single vector x gives the answer's one element as a Python scalar;
-    anything else gives the answer's array.
-    """
-    out = answer(x)
-    return out[0].item() if np.ndim(x) == 1 else out

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -184,19 +184,23 @@ class FoldAssignment:
 
 @dataclass(frozen=True, eq=False)
 class BootstrapSample:
-    """N indices into N rows, drawn with replacement."""
+    """N indices into N rows, drawn with replacement; ``counts[i]`` is how
+    often row i is drawn."""
 
     indices: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         idx = freeze(self, "indices", int)
         if np.any((idx < 0) | (idx >= idx.size)):
             raise ValueError(f"bootstrap indices must lie in [0, {idx.size})")
+        object.__setattr__(self, "counts", np.bincount(idx, minlength=idx.size))
+        freeze(self, "counts", copy=False)
 
     @property
     def out_of_bag(self) -> np.ndarray:
         """The sorted rows that no index draws."""
-        return np.flatnonzero(np.bincount(self.indices, minlength=self.indices.size) == 0)
+        return np.flatnonzero(self.counts == 0)
 
 
 def load_csv(path) -> LabeledDataset:

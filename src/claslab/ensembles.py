@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DecisionFunction, as_matrix, point_or_batch, sign_labels
+from .base import DecisionFunction, as_matrix, sign_labels
 from .data import LabeledDataset, bootstrap_sample, child_seed
 from .trees import DecisionTree, fit_tree
 
@@ -164,7 +164,3 @@ def adaboost(ds: LabeledDataset, t_rounds: int) -> BoostModel:
         weights = weights * np.exp(-alpha * ds.labels * pred)
         weights = weights / weights.sum()
     return BoostModel(tuple(rounds))
-
-
-def boost_score(model: BoostModel, x):
-    return point_or_batch(model.decision_function, x)

@@ -210,7 +210,7 @@ def _bootstrap_rounds(trainer, ds: LabeledDataset, samples, test):
     for chunk in _chunks(samples, max(1, base._BLOCK // ds.n)):
         scores = None
         if scorer is not None:
-            counts = np.stack([np.bincount(s.indices, minlength=ds.n) for s in chunk])
+            counts = np.stack([s.counts for s in chunk])
             scores = scorer(ds.features, ds.labels, counts.astype(float))
         for r, s in enumerate(chunk):
             rows = test(s)

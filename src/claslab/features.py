@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import NEAR_SINGULAR, DecisionFunction, freeze
+from .base import NEAR_SINGULAR, DecisionFunction, as_matrix, freeze
 from .data import LabeledDataset, child_seed
 
 
@@ -110,7 +110,7 @@ class Standardize(FeatureTransform):
         return centered
 
     def map(self, X):
-        return (X - self.mean) / self.std
+        return (as_matrix(X, len(self.mean)) - self.mean) / self.std
 
     def pull_back(self, w, b):
         w = w / self.std
@@ -146,10 +146,6 @@ class Select(FeatureTransform):
         if idx.size == 0 or idx.min() < 0 or idx.max() >= X.shape[-1]:
             raise ValueError(f"select indices must lie in [0, {X.shape[-1]})")
         return X[..., idx]
-
-
-def apply_transform(t: FeatureTransform, ds: LabeledDataset) -> LabeledDataset:
-    return t.apply(ds)
 
 
 def append_noise(ds: LabeledDataset, count: int, seed: int = 0) -> LabeledDataset:

@@ -15,7 +15,7 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from .base import (
-    NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, freeze, point_or_batch, well_conditioned,
+    NEAR_SINGULAR, DecisionFunction, as_matrix, blocks, freeze, well_conditioned,
 )
 from .data import LabeledDataset
 from .exceptions import FitError, NumericError
@@ -213,11 +213,6 @@ def lda_round_scores(
     return np.matmul(X, weight[:, :, None])[..., 0] + offset[:, None]
 
 
-def lda_decision(model: LdaModel, x):
-    """weight . x + offset; sign classifies, 0 goes to +1."""
-    return point_or_batch(model.decision_function, x)
-
-
 def _logsumexp_rows(a):
     """scipy.special.logsumexp(a, axis=1) of a real matrix, bit for bit, in a's own buffer."""
     top = a.max(axis=1, keepdims=True)
@@ -317,8 +312,3 @@ def parzen_loo_scores(ds: LabeledDataset, model: ParzenModel):
             [index[rows] for index in left_out],
         ))
     return np.concatenate(scores)
-
-
-def parzen_decision(model: ParzenModel, x):
-    """Log ratio of the weighted class density estimates at x."""
-    return point_or_batch(model.decision_function, x)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix, freeze, point_or_batch
+from .base import DecisionFunction, as_matrix, freeze
 from .data import LABEL_STRINGS, LabeledDataset
 from .exceptions import NumericError
 
@@ -151,10 +151,6 @@ def kernel_ridge_loo_scores(ds: LabeledDataset, model: KernelMachine, lam: float
     y = ds.labels.astype(float)
     scores = y - (C_inv[:-1, :-1] @ y) / np.diag(C_inv)[:-1]
     return scores if np.all(np.isfinite(scores)) else None
-
-
-def km_decision(km: KernelMachine, x):
-    return point_or_batch(km.decision_function, x)
 
 
 @dataclass(frozen=True)

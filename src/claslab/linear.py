@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .base import (
-    NEAR_SINGULAR, DecisionFunction, as_matrix, freeze, point_or_batch, well_conditioned,
+    NEAR_SINGULAR, DecisionFunction, as_matrix, freeze, well_conditioned,
 )
 from .data import LabeledDataset
 from .exceptions import NumericError
@@ -266,8 +265,3 @@ def least_squares_round_scores(X, y, C, lam: float = 0.0):
         return None
     theta = np.linalg.solve(gram, np.matmul(weighted, y.astype(float)[:, None]))
     return np.matmul(A, theta)[..., 0]
-
-
-def posterior_pos(h: LinearHypothesis, x):
-    """Posterior probability of the positive class, exp(s)/(1 + exp(s))."""
-    return point_or_batch(lambda X: expit(h.decision_function(X)), x)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import DecisionFunction, as_matrix, blocks, point_or_batch
+from .base import DecisionFunction, as_matrix, blocks
 from .data import LabeledDataset
 
 @dataclass(frozen=True)
@@ -78,8 +78,3 @@ def knn_loo_scores(ds: LabeledDataset, model: KnnClassifier):
         dist[np.arange(dist.shape[0]), np.arange(ds.n)[rows]] = np.nan
         scores.append(_vote(dist, model.k, positive))
     return np.concatenate(scores)
-
-
-def knn_classify(model: KnnClassifier, x):
-    """Majority label among the k nearest stored points."""
-    return point_or_batch(model.predict, x)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import expit
 
-from .base import DecisionFunction, as_matrix, freeze, point_or_batch
+from .base import DecisionFunction, as_matrix, freeze
 from .data import LabeledDataset
 from .exceptions import DivergenceError
 from .linear import TrainInfo
@@ -76,10 +76,6 @@ class OneHiddenLayerNet(DecisionFunction):
 
     def decision_function(self, X):
         return self.forward(X) - self.threshold
-
-
-def net_forward(net: OneHiddenLayerNet, x):
-    return point_or_batch(net.forward, x)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .base import _BLOCK, DecisionFunction, as_matrix, freeze, point_or_batch, sign_labels
+from .base import _BLOCK, DecisionFunction, as_matrix, freeze, sign_labels
 from .data import LabeledDataset, _get, _typed, read_json
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -132,15 +132,6 @@ class BayesClassifier(DecisionFunction):
         margin = _log_joint_margin(self.problem, X)
         # -inf vs -inf (both priors degenerate) counts as a tie -> +1
         return np.nan_to_num(margin, nan=0.0)
-
-
-def bayes_classify(problem: GaussianMixtureProblem, x):
-    """Assign each point to the class with the larger weighted density.
-
-    Exact ties (and zero-prior degeneracies that leave both sides equal)
-    go to +1.  Returns a scalar for a single vector, else an array.
-    """
-    return point_or_batch(BayesClassifier(problem).predict, x)
 
 
 def _crossings_1d(problem):

@@ -62,9 +62,10 @@ def _node_to_dict(node):
 def _node_from_dict(obj):
     obj = _typed(obj, dict, "a tree node")
     if "leaf" in obj:
-        return TreeNode(label=obj["leaf"])
-    field = {key: _get(obj, key, object, what="a tree node")
-             for key in ("feature", "threshold", "left", "right")}
+        return TreeNode(label=_get(obj, "leaf", int, what="a tree node"))
+    field = {key: _get(obj, key, type_, what="a tree node")
+             for key, type_ in (("feature", int), ("threshold", float),
+                                ("left", object), ("right", object))}
     return TreeNode(
         feature=field["feature"],
         threshold=field["threshold"],
@@ -118,8 +119,8 @@ def _array(value, what):
 def _decode(hint, value, what):
     """The field value of type ``hint`` that JSON ``value`` stands for.
 
-    Containers are checked here; a number or a string is the model's own to
-    check, so a file gets the fit's parameter checks and their messages.
+    Every field is typed here; the range of a number is the model's own to
+    check, so a file gets the fit's range checks and their messages.
     """
     if isinstance(hint, types.UnionType):  # an optional field: X | None
         if value is None:
@@ -138,9 +139,7 @@ def _decode(hint, value, what):
         if isinstance(value, dict):
             return model_from_dict(value)
         return _decode(tuple, value, what) if isinstance(value, list) else value
-    if value is None or isinstance(value, (list, dict)):
-        _typed(value, hint, what)  # raises: a scalar field holds no scalar
-    return value
+    return _typed(value, hint, what)  # a scalar field: float, int or str
 
 
 def _from_fields(cls, obj, what):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DecisionFunction, as_matrix, point_or_batch, sign_labels
+from .base import DecisionFunction, as_matrix, sign_labels
 from .data import LabeledDataset
 
 _EPS = 1e-12
@@ -145,10 +145,6 @@ def fit_tree(
             raise ValueError("sample_weight must be N nonnegative reals")
     root = _grow(ds.features, ds.labels, w, 0, max_depth, min_leaf_size)
     return DecisionTree(root, ds.dim, max_depth, min_leaf_size)
-
-
-def tree_classify(tree: DecisionTree, x):
-    return point_or_batch(tree.predict, x)
 
 
 def tree_trace(tree: DecisionTree, x):

@@ -310,9 +310,11 @@ class TestBootstrap:
         rng = np.random.default_rng(0)
         for n in [1, 1, 2, 3, *rng.integers(1, 300, size=40).tolist()]:
             idx = rng.integers(0, n, size=n)
-            oob = BootstrapSample(idx).out_of_bag
+            drawn = BootstrapSample(idx)
             want = np.setdiff1d(np.arange(n), idx)
-            assert oob.dtype == want.dtype and np.array_equal(oob, want)
+            assert drawn.out_of_bag.dtype == want.dtype and np.array_equal(drawn.out_of_bag, want)
+            assert np.array_equal(drawn.counts, np.bincount(idx, minlength=n))
+            assert not drawn.counts.flags.writeable
 
     @pytest.mark.parametrize("indices", [[0, 5], [0, -1]])
     def test_an_index_outside_the_rows_names_the_range(self, indices):

@@ -11,7 +11,6 @@ from claslab.ensembles import (
     TreeConfig,
     adaboost,
     bagging,
-    boost_score,
     combine,
     random_subspace,
 )
@@ -218,8 +217,8 @@ class TestAdaboost:
         stump = fit_tree(FOUR, 1, 1)
         model = BoostModel((BoostRound(stump, 1.0, 0.1),))
         for x in (-1.0, 0.5, 2.0):
-            assert boost_score(model, [x]) in (-1.0, 1.0)
-            assert boost_score(model, [x]) == stump.predict(np.array([[x]]))[0]
+            assert model.decision_function([x]) in (-1.0, 1.0)
+            assert model.decision_function([x]) == stump.predict(np.array([[x]]))[0]
 
     def test_all_zero_alphas_classify_positive(self):
         stump = fit_tree(FOUR, 1, 1)

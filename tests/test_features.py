@@ -1,6 +1,7 @@
 """Feature transforms, noise augmentation, forward selection, pipelines."""
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from claslab.features import (
     Select,
     Standardize,
     append_noise,
-    apply_transform,
     fit_transform_chain,
     forward_select,
     make_pipeline_trainer,
@@ -27,12 +27,13 @@ from claslab.generative import fit_lda
 from claslab.kernels import Kernel, kernel_eval
 from claslab.linear import train_least_squares
 from claslab.oracle import equal_cov_problem, sample
+from claslab.serialize import load_model
 
 
 class TestPoly2Expand:
     def test_hand_block(self):
         ds = LabeledDataset([[1.0, 2.0]], [1])
-        out = apply_transform(Poly2Expand(), ds)
+        out = Poly2Expand().apply(ds)
         np.testing.assert_allclose(out.features[0, :2], [1.0, 2.0])
         np.testing.assert_allclose(
             out.features[0, 2:], [1.0, 2.0 * np.sqrt(2.0), 4.0]
@@ -41,7 +42,7 @@ class TestPoly2Expand:
     def test_output_dimension(self):
         for d in (1, 2, 3, 6):
             ds = LabeledDataset(np.ones((2, d)), [1, -1])
-            assert apply_transform(Poly2Expand(), ds).dim == d + d * (d + 1) // 2
+            assert Poly2Expand().apply(ds).dim == d + d * (d + 1) // 2
 
     def test_block_dot_equals_kernel(self):
         rng = np.random.default_rng(0)
@@ -58,13 +59,13 @@ class TestStandardize:
     def test_zero_mean_unit_std(self):
         rng = np.random.default_rng(1)
         ds = LabeledDataset(rng.normal(3.0, 2.0, size=(50, 3)), rng.choice([-1, 1], 50))
-        out = apply_transform(Standardize.fit(ds), ds)
+        out = Standardize.fit(ds).apply(ds)
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_survives(self):
         ds = LabeledDataset([[1.0], [1.0]], [1, -1])
-        out = apply_transform(Standardize.fit(ds), ds)
+        out = Standardize.fit(ds).apply(ds)
         np.testing.assert_array_equal(out.features, [[0.0], [0.0]])
 
     def test_test_data_reuses_training_statistics(self):
@@ -73,17 +74,24 @@ class TestStandardize:
         fresh = np.array([[5.0]])
         np.testing.assert_allclose(t.map(fresh), [[4.0]])
 
+    def test_a_standardize_first_pipeline_rejects_rows_of_the_wrong_width(self):
+        # one column would broadcast across both stored columns and score
+        model = load_model(Path(__file__).parent / "fixtures" / "models" / "pipeline.json")
+        assert isinstance(model.transforms[0], Standardize)
+        with pytest.raises(ValueError, match="expected 2-dimensional inputs, got 1"):
+            model.decision_function(np.zeros((3, 1)))
+
 
 class TestSelect:
     def test_keeps_requested_column(self):
         ds = LabeledDataset([[1.0, 2.0, 3.0]], [1])
-        out = apply_transform(Select((0,)), ds)
+        out = Select((0,)).apply(ds)
         assert out.dim == 1 and out.features[0, 0] == 1.0
 
     def test_out_of_range_rejected(self):
         ds = LabeledDataset([[1.0, 2.0]], [1])
         with pytest.raises(ValueError):
-            apply_transform(Select((2,)), ds)
+            Select((2,)).apply(ds)
 
 
 class TestAppendNoise:
@@ -113,7 +121,7 @@ class TestAppendNoise:
             AppendNoise(2, seed=1),
             Select((0, 2)),
         ):
-            out = apply_transform(t, ds)
+            out = t.apply(ds)
             np.testing.assert_array_equal(out.labels, ds.labels)
             assert out.n == ds.n
 

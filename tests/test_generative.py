@@ -10,8 +10,6 @@ from claslab.generative import (
     _logsumexp_rows,
     fit_lda,
     fit_parzen,
-    lda_decision,
-    parzen_decision,
 )
 from claslab.oracle import equal_cov_problem, sample
 
@@ -42,13 +40,13 @@ class TestFitLda:
         np.testing.assert_allclose(model.mean_neg, [5.0])
         np.testing.assert_allclose(model.pooled_cov, [[1.0]])
         # boundary at the midpoint x = 3
-        assert lda_decision(model, [3.0]) == pytest.approx(0.0, abs=1e-12)
+        assert model.decision_function([3.0]) == pytest.approx(0.0, abs=1e-12)
         assert model.predict(np.array([[3.0]]))[0] == 1  # on-boundary tie
 
     def test_decision_sides(self):
         model = fit_lda(HAND)
-        assert lda_decision(model, [1.0]) > 0
-        assert lda_decision(model, [5.0]) < 0
+        assert model.decision_function([1.0]) > 0
+        assert model.decision_function([5.0]) < 0
 
     def test_laplace_priors(self):
         assert fit_lda(HAND, laplace_priors=True).prior_pos == 0.5
@@ -61,7 +59,7 @@ class TestFitLda:
         scaled = fit_lda(HAND, unbiased_cov=True)
         np.testing.assert_allclose(scaled.pooled_cov, 2.0 * plain.pooled_cov)
         # boundary location is unchanged by a common covariance rescale
-        assert lda_decision(scaled, [3.0]) == pytest.approx(0.0, abs=1e-12)
+        assert scaled.decision_function([3.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_singular_covariance_needs_ridge(self):
         degenerate = LabeledDataset([[1.0], [1.0]], [1, -1])
@@ -76,7 +74,7 @@ class TestFitLda:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lda_decision(fit_lda(HAND), [1.0, 2.0])
+            fit_lda(HAND).decision_function([1.0, 2.0])
 
 
 class TestLdaGeometry:
@@ -87,15 +85,15 @@ class TestLdaGeometry:
 
         def boundary_point(direction, anchor):
             # score is affine, so one secant step lands exactly on zero
-            f0 = lda_decision(model, anchor)
-            f1 = lda_decision(model, anchor + direction)
+            f0 = model.decision_function(anchor)
+            f1 = model.decision_function(anchor + direction)
             t = -f0 / (f1 - f0)
             return anchor + t * direction
 
         a = boundary_point(rng.normal(size=2), rng.normal(size=2))
         b = boundary_point(rng.normal(size=2), rng.normal(size=2))
         for lam in np.linspace(0, 1, 7):
-            assert abs(lda_decision(model, lam * a + (1 - lam) * b)) < 1e-9
+            assert abs(model.decision_function(lam * a + (1 - lam) * b)) < 1e-9
 
     def test_symmetric_classes_split_at_midpoint(self):
         rng = np.random.default_rng(5)
@@ -104,7 +102,7 @@ class TestLdaGeometry:
         ds = LabeledDataset(feats, [1] * 40 + [-1] * 40)
         model = fit_lda(ds)
         midpoint = 0.5 * (model.mean_pos + model.mean_neg)
-        assert abs(lda_decision(model, midpoint)) < 1e-9
+        assert abs(model.decision_function(midpoint)) < 1e-9
 
     def test_fit_maximizes_log_likelihood(self):
         ds = sample(equal_cov_problem(0.5, [1.0, 0.0], [-1.0, 0.5]), 60, seed=6)
@@ -163,15 +161,15 @@ class TestParzen:
     def test_single_points_give_perpendicular_bisector(self):
         ds = LabeledDataset([[0.0, 0.0], [2.0, 2.0]], [1, -1])
         model = fit_parzen(ds, bandwidth=0.7)
-        assert parzen_decision(model, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
-        assert parzen_decision(model, [0.5, 0.5]) > 0
-        assert parzen_decision(model, [1.5, 1.5]) < 0
+        assert model.decision_function([1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+        assert model.decision_function([0.5, 0.5]) > 0
+        assert model.decision_function([1.5, 1.5]) < 0
 
     def test_huge_bandwidth_approaches_prior_majority(self):
         ds = LabeledDataset([[0.0], [1.0], [2.0], [10.0]], [1, 1, 1, -1])
         model = fit_parzen(ds, bandwidth=1e6)
         for x in (-50.0, 0.0, 10.0, 50.0):
-            assert parzen_decision(model, [x]) == pytest.approx(np.log(3.0), abs=1e-6)
+            assert model.decision_function([x]) == pytest.approx(np.log(3.0), abs=1e-6)
 
     def test_tight_bandwidth_reproduces_one_nn_on_training_points(self):
         ds = sample(equal_cov_problem(0.5, [1.5], [-1.5]), 30, seed=8)
@@ -181,7 +179,7 @@ class TestParzen:
     def test_on_stored_point_wins(self):
         ds = LabeledDataset([[0.0], [0.4], [3.0], [3.4]], [1, 1, -1, -1])
         model = fit_parzen(ds, bandwidth=0.1)
-        assert parzen_decision(model, [0.0]) > 0
+        assert model.decision_function([0.0]) > 0
 
     def test_duplicating_a_class_changes_nothing(self):
         ds = LabeledDataset([[0.0], [1.0], [4.0]], [1, 1, -1])
@@ -192,13 +190,13 @@ class TestParzen:
         b = fit_parzen(doubled, 0.8)
         # same priors, same mean-of-kernels densities
         for x in np.linspace(-2, 6, 17):
-            assert parzen_decision(a, [x]) == pytest.approx(
-                parzen_decision(b, [x]), abs=1e-12
+            assert a.decision_function([x]) == pytest.approx(
+                b.decision_function([x]), abs=1e-12
             )
 
     def test_far_query_stays_finite(self):
         model = fit_parzen(LabeledDataset([[0.0], [1.0]], [1, -1]), 0.5)
-        score = parzen_decision(model, [1e8])
+        score = model.decision_function([1e8])
         assert np.isfinite(score)
 
     def test_far_query_matches_direct_log_densities(self):
@@ -222,7 +220,7 @@ class TestParzen:
             np.log(2 / 3) + log_density(np.array([0.0, 2.0]))
             - np.log(1 / 3) - log_density(np.array([5.0]))
         )
-        assert parzen_decision(model, [x]) == pytest.approx(expected, rel=1e-12)
+        assert model.decision_function([x]) == pytest.approx(expected, rel=1e-12)
 
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):

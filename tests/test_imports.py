@@ -3,8 +3,9 @@ no module-level name is assigned that no module of the package reads, the
 package defines no function, class or method that no source of the repo
 reads, no module keeps two tables keyed by the same names, no
 ``__post_init__`` stores a field from a value that never reads it, no
-code but ``base.freeze`` calls ``setflags``, and no module but ``data``
-parses JSON."""
+code but ``base.freeze`` calls ``setflags``, no module but ``data``
+parses JSON, and no function only passes its arguments on to a method of
+one of them."""
 
 import ast
 import itertools
@@ -200,12 +201,24 @@ def reads_field(expr, field: str, values: dict, seen: set) -> bool:
     return False
 
 
+def init_false_fields(cls: ast.ClassDef) -> set:
+    """Names the class body declares as ``field(init=False, ...)``."""
+    return {
+        node.target.id for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "field"
+        and any(k.arg == "init" and ast.unparse(k.value) == "False" for k in node.value.keywords)
+    }
+
+
 def fields_set_blind(source: str) -> list:
     """Fields that a class's ``__post_init__`` sets with ``object.__setattr__``
     from a value that never reads the field: the constructor ignores what a
-    caller passes there, so it is no input and should not be a field."""
+    caller passes there, so it is no input and should not be a field.  A
+    field declared ``field(init=False)`` takes no argument, so it is exempt."""
     found = []
     for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
+        derived = init_false_fields(cls)
         for init in (f for f in cls.body if getattr(f, "name", None) == "__post_init__"):
             values = {}  # local name -> the expressions assigned to it
             for node in ast.walk(init):
@@ -217,7 +230,7 @@ def fields_set_blind(source: str) -> list:
             for call in (n for n in ast.walk(init) if isinstance(n, ast.Call)):
                 if ast.unparse(call.func) == "object.__setattr__" and len(call.args) == 3:
                     field = call.args[1].value
-                    if not reads_field(call.args[2], field, values, set()):
+                    if field not in derived and not reads_field(call.args[2], field, values, set()):
                         found.append(f"{cls.name}.{field} (line {call.lineno})")
     return found
 
@@ -231,8 +244,11 @@ def test_the_scan_sees_a_field_set_blind():
         "        object.__setattr__(self, 'z', n)\n"
         "        object.__setattr__(self, 'w', len(range(3)))\n"
         "class B:\n    def check(self):\n        object.__setattr__(self, 'v', 0)\n"
+        "class C:\n    u: int = field(init=False)\n    t: int = field(default=0)\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'u', 0)\n"
+        "        object.__setattr__(self, 't', 0)\n"
     )
-    assert fields_set_blind(source) == ["A.z (line 8)", "A.w (line 9)"]
+    assert fields_set_blind(source) == ["A.z (line 8)", "A.w (line 9)", "C.t (line 18)"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -288,3 +304,44 @@ def test_the_scan_sees_a_json_parse_outside_data():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_data_parses_json(path):
     assert json_parses_outside_data(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def pass_throughs(source: str) -> list:
+    """Module-level functions whose body, after any docstring, is one ``return``
+    of a call to a method of a parameter (``t.apply(ds)``) or of a call whose
+    first argument is such a bound method (``wrap(model.predict, x)``):
+    a caller can make that call on the object itself."""
+    found = []
+    for fn in (n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)):
+        params = {a.arg for a in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]}
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+        if not isinstance(call, ast.Call):
+            continue
+        bound = [
+            node for node in [call.func, *call.args[:1]]
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in params
+        ]
+        if bound:
+            found.append(f"{fn.name} (line {fn.lineno})")
+    return found
+
+
+def test_the_scan_sees_a_pass_through():
+    source = (
+        "def apply_transform(t, ds):\n    return t.apply(ds)\n"
+        "def lda_decision(model, x):\n    \"\"\"Doc.\"\"\"\n"
+        "    return point_or_batch(model.decision_function, x)\n"
+        "def append_noise(ds, count):\n    return AppendNoise(count).apply(ds)\n"
+        "def scaled(model, x):\n    return 2.0 * model.decision_function(x)\n"
+        "def checked(model, x):\n    check(x)\n    return model.predict(x)\n"
+        "def second(model, x):\n    return f(x, model.predict)\n"
+        "class A:\n    def predict(self, X):\n        return self.model.predict(X)\n"
+    )
+    assert pass_throughs(source) == ["apply_transform (line 1)", "lda_decision (line 3)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_pass_throughs(path):
+    assert pass_throughs(path.read_text(encoding="utf-8")) == []

@@ -16,7 +16,6 @@ from claslab.kernels import (
     gram_matrix,
     kernel_eval,
     kernel_ridge_loo_scores,
-    km_decision,
     load_dissimilarity_csv,
     select_prototypes,
     train_kernel_machine,
@@ -84,11 +83,14 @@ class TestKernelEval:
 def test_width_or_offset_whose_square_is_not_finite_or_positive_rejected(kwargs):
     with pytest.raises(ValueError, match="square"):
         Kernel(**kwargs)
-    # a model file goes through the same check when it is loaded
+    # a model file goes through the same check when it is loaded; a value
+    # that is not finite fails the file's type rule first
     km = train_kernel_machine(LabeledDataset([[0.0], [1.0]], [1, -1]), Kernel(kwargs["kind"]), 1.0)
     obj = model_to_dict(km)
-    obj["kernel"].update({k: v for k, v in kwargs.items() if k != "kind"})
-    with pytest.raises(ValueError, match="square"):
+    ((name, value),) = ((k, v) for k, v in kwargs.items() if k != "kind")
+    obj["kernel"][name] = value
+    message = "square" if np.isfinite(value) else f"'{name}' must be a finite JSON number"
+    with pytest.raises(ValueError, match=message):
         model_from_dict(obj)
 
 
@@ -187,9 +189,9 @@ class TestKernelMachine:
 
         k = Kernel("linear")
         km = KernelMachine(np.zeros(3), 0.25, np.eye(3), k)
-        assert km_decision(km, [9.0, 9.0, 9.0]) == 0.25
+        assert km.decision_function([9.0, 9.0, 9.0]) == 0.25
         km_one = KernelMachine(np.array([1.0]), 0.0, np.array([[2.0, 0.0]]), k)
-        assert km_decision(km_one, [3.0, 7.0]) == 6.0
+        assert km_one.decision_function([3.0, 7.0]) == 6.0
 
     def test_matches_gram_rows_on_training_queries(self):
         ds = sample(equal_cov_problem(0.5, [0.8, 0.0], [-0.8, 0.0]), 30, seed=6)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from claslab import linear
 from claslab.data import LabeledDataset
@@ -15,7 +16,6 @@ from claslab.linear import (
     TrainConfig,
     _descend,
     _objective_and_grad,
-    posterior_pos,
     train_least_squares,
     train_linear,
     train_logistic,
@@ -258,13 +258,13 @@ class TestTrainLogistic:
         h = LinearHypothesis(np.zeros(2), 0.0)
         rng = np.random.default_rng(8)
         for x in rng.normal(size=(10, 2)):
-            assert posterior_pos(h, x) == 0.5
+            assert expit(h.decision_function(x)) == 0.5
 
     def test_posterior_monotone_when_means_ordered(self):
         ds = sample(equal_cov_problem(0.5, [1.0], [-1.0]), 200, seed=9)
         h = train_logistic(ds, 1e-3)
         xs = np.linspace(-3, 3, 50)[:, None]
-        post = posterior_pos(h, xs)
+        post = expit(h.decision_function(xs))
         assert np.all(np.diff(post) > 0)
 
     def test_separable_diverges_without_penalty(self):
@@ -320,8 +320,8 @@ class TestPosterior:
         from claslab.linear import LinearHypothesis
 
         h = LinearHypothesis(np.array([1.0]), 0.0)
-        assert posterior_pos(h, [1000.0]) == 1.0
-        assert posterior_pos(h, [-1000.0]) == 0.0
+        assert expit(h.decision_function([1000.0])) == 1.0
+        assert expit(h.decision_function([-1000.0])) == 0.0
 
     def test_positive_and_negative_posteriors_sum_to_one(self):
         from claslab.linear import LinearHypothesis
@@ -329,16 +329,16 @@ class TestPosterior:
         h = LinearHypothesis(np.array([0.7, -0.2]), 0.3)
         rng = np.random.default_rng(11)
         X = rng.normal(size=(50, 2))
-        pos = posterior_pos(h, X)
+        pos = expit(h.decision_function(X))
         flipped = LinearHypothesis(-h.weight, -h.bias)
-        np.testing.assert_allclose(pos + posterior_pos(flipped, X), 1.0, atol=1e-12)
+        np.testing.assert_allclose(pos + expit(flipped.decision_function(X)), 1.0, atol=1e-12)
 
     def test_boundary_means_half(self):
         ds = sample(equal_cov_problem(0.5, [1.0], [-1.0]), 60, seed=12)
         h = train_logistic(ds, 1e-2)
         # solve for the boundary point of the affine score
         x_star = -h.bias / h.weight[0]
-        assert posterior_pos(h, [x_star]) == pytest.approx(0.5, abs=1e-9)
+        assert expit(h.decision_function([x_star])) == pytest.approx(0.5, abs=1e-9)
         assert abs(h.decision_function(np.array([[x_star]]))[0]) <= 1e-12
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from claslab.data import LabeledDataset
-from claslab.neighbors import fit_knn, knn_classify
+from claslab.neighbors import fit_knn
 from claslab.oracle import equal_cov_problem, sample
 
 
@@ -74,13 +74,13 @@ class TestFitKnn:
 class TestKnnClassify:
     def test_nearest_point_decides(self):
         model = fit_knn(LabeledDataset([[0.0], [1.0]], [-1, 1]), 1)
-        assert knn_classify(model, [0.2]) == -1
-        assert knn_classify(model, [0.8]) == 1
+        assert model.predict([0.2]) == -1
+        assert model.predict([0.8]) == 1
 
     def test_k_equals_n_is_global_majority(self):
         model = fit_knn(LabeledDataset([[0.0], [1.0], [10.0]], [-1, -1, 1]), 3)
         for q in (-5.0, 0.5, 20.0):
-            assert knn_classify(model, [q]) == -1
+            assert model.predict([q]) == -1
 
     def test_k_equals_n_scores_the_mean_of_all_labels(self):
         ds = sample(equal_cov_problem(0.3, [1.0, 0.0], [-1.0, 0.0]), 21, seed=4)
@@ -90,7 +90,7 @@ class TestKnnClassify:
 
     def test_distance_tie_takes_lower_index(self):
         model = fit_knn(LabeledDataset([[0.0], [2.0]], [-1, 1]), 1)
-        assert knn_classify(model, [1.0]) == -1  # equidistant; index 0 wins
+        assert model.predict([1.0]) == -1  # equidistant; index 0 wins
 
     def test_tied_points_fill_the_vote_in_stored_order(self):
         circle = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]]
@@ -137,7 +137,7 @@ class TestKnnClassify:
     def test_dimension_mismatch(self):
         model = fit_knn(LabeledDataset([[0.0, 0.0]], [1]), 1)
         with pytest.raises(ValueError):
-            knn_classify(model, [0.0])
+            model.predict([0.0])
 
     def test_one_nn_is_memorization(self):
         ds = sample(equal_cov_problem(0.5, [1.0], [-1.0]), 50, seed=0)
@@ -159,5 +159,5 @@ class TestKnnClassify:
         model = fit_knn(ds, 3)
         queries = np.linspace(-2, 2, 9)[:, None]
         batch = model.predict(queries)
-        singles = [knn_classify(model, q) for q in queries]
+        singles = np.concatenate([model.predict(q) for q in queries])
         np.testing.assert_array_equal(batch, singles)

@@ -11,7 +11,6 @@ from claslab.neural import (
     OUTPUT_ACTIVATIONS,
     NetTrainConfig,
     OneHiddenLayerNet,
-    net_forward,
     net_gradient,
     net_objective,
     train_net,
@@ -59,7 +58,7 @@ class TestForward:
             np.array([[-3.0], [2.0]]), np.zeros(2), np.array([1.0, 1.0]), 0.0,
             "relu", "identity",
         )
-        assert net_forward(net, [1.0]) == 2.0
+        assert net.forward([1.0]) == 2.0
 
     def test_zero_weights_sigmoid_output_is_half_and_positive(self):
         net = OneHiddenLayerNet(
@@ -67,7 +66,7 @@ class TestForward:
             "logistic_sigmoid", "logistic_sigmoid",
         )
         x = np.array([[0.4, -0.9]])
-        assert net_forward(net, x[0]) == 0.5
+        assert net.forward(x[0]) == 0.5
         assert net.predict(x)[0] == 1  # threshold tie goes positive
 
     def test_hand_composition(self):
@@ -77,12 +76,12 @@ class TestForward:
         )
         for x in (-1.0, 0.0, 2.0):
             sigma = 1.0 / (1.0 + np.exp(-(2.0 * x - 1.0)))
-            assert net_forward(net, [x]) == pytest.approx(3.0 * sigma + 0.25, rel=1e-12)
+            assert net.forward([x]) == pytest.approx(3.0 * sigma + 0.25, rel=1e-12)
 
     def test_dimension_mismatch(self):
         net = OneHiddenLayerNet(np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
-            net_forward(net, [1.0])
+            net.forward([1.0])
 
     def test_hidden_unit_permutation_invariance(self):
         rng = np.random.default_rng(0)

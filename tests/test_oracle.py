@@ -16,7 +16,6 @@ from claslab.oracle import (
     _crossings_1d,
     _draws,
     _log_joint_margin,
-    bayes_classify,
     bayes_error,
     equal_cov_problem,
     exact_form,
@@ -148,19 +147,19 @@ class TestSample:
 
 class TestBayesClassify:
     def test_tie_goes_positive(self):
-        assert bayes_classify(SYMMETRIC, [0.0]) == 1
+        assert BayesClassifier(SYMMETRIC).predict([0.0]) == 1
 
     def test_negative_side(self):
-        assert bayes_classify(SYMMETRIC, [-3.0]) == -1
+        assert BayesClassifier(SYMMETRIC).predict([-3.0]) == -1
 
     def test_strong_prior_wins_everywhere_near_means(self):
         prob = equal_cov_problem(0.999, [1.0], [-1.0])
-        assert bayes_classify(prob, [1.0]) == 1
-        assert bayes_classify(prob, [-1.0]) == 1
+        assert BayesClassifier(prob).predict([1.0]) == 1
+        assert BayesClassifier(prob).predict([-1.0]) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bayes_classify(SYMMETRIC, [0.0, 1.0])
+            BayesClassifier(SYMMETRIC).predict([0.0, 1.0])
 
     def test_matches_scaled_manual_densities(self):
         # argmax is invariant to scaling both weighted densities by c > 0
@@ -168,7 +167,7 @@ class TestBayesClassify:
             0.3, [0.5], [-0.8], [[1.0]], [[4.0]]
         )
         xs = np.linspace(-6, 6, 201)
-        got = bayes_classify(prob, xs[:, None])
+        got = BayesClassifier(prob).predict(xs[:, None])
         for c in (1e-7, 1.0, 3e5):
             fpos = c * 0.3 * norm.pdf(xs, 0.5, 1.0)
             fneg = c * 0.7 * norm.pdf(xs, -0.8, 2.0)
@@ -354,7 +353,7 @@ class TestTrueError:
         xs = np.linspace(-4, 4, 101)[:, None]
         clf = BayesClassifier(SYMMETRIC)
         np.testing.assert_array_equal(
-            sign_labels(clf.decision_function(xs)), bayes_classify(SYMMETRIC, xs)
+            sign_labels(clf.decision_function(xs)), clf.predict(xs)
         )
 
 

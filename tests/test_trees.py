@@ -11,7 +11,7 @@ from claslab.data import LabeledDataset
 from claslab.ensembles import TreeConfig, adaboost, bagging, random_subspace
 from claslab.oracle import equal_cov_problem, sample
 from claslab.serialize import model_to_dict
-from claslab.trees import TreeNode, fit_tree, tree_classify, tree_trace
+from claslab.trees import TreeNode, fit_tree, tree_trace
 
 FOUR = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [-1, -1, 1, 1])
 XOR = LabeledDataset([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], [-1, -1, 1, 1])
@@ -80,17 +80,17 @@ class TestFitTree:
 class TestTreeClassify:
     def test_fitted_split_sides(self):
         tree = fit_tree(FOUR, max_depth=1)
-        assert tree_classify(tree, [1.0]) == -1
-        assert tree_classify(tree, [2.5]) == 1
+        assert tree.predict([1.0]) == -1
+        assert tree.predict([2.5]) == 1
 
     def test_threshold_hit_goes_left(self):
         tree = fit_tree(FOUR, max_depth=1)
-        assert tree_classify(tree, [1.5]) == -1  # "<=" rule
+        assert tree.predict([1.5]) == -1  # "<=" rule
 
     def test_depth_zero_is_constant(self):
         tree = fit_tree(LabeledDataset([[0.0], [1.0]], [-1, -1]), max_depth=2)
         for x in (-10.0, 0.0, 10.0):
-            assert tree_classify(tree, [x]) == -1
+            assert tree.predict([x]) == -1
 
 
 class TestTreeTrace:
@@ -113,7 +113,7 @@ class TestTreeTrace:
                 assert (x[feature] <= threshold) == went_left
                 node = node.left if went_left else node.right
             assert node.is_leaf
-            assert node.label == tree_classify(tree, x)
+            assert node.label == tree.predict(x)
 
 
 def test_render_golden():
