@@ -105,6 +105,8 @@ def fit_lda(
         np.log(prior_pos) - np.log(prior_neg)
         - 0.5 * (mean_pos @ cov_solve(mean_pos) - mean_neg @ cov_solve(mean_neg))
     )
+    if not (np.isfinite(offset) and np.all(np.isfinite(cov))):
+        raise NumericError("the LDA moments overflow a float; rescale the features")
     return LdaModel(
         prior_pos=float(prior_pos),
         prior_neg=float(prior_neg),

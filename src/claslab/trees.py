@@ -122,7 +122,8 @@ def _grow(X, y, w, depth, max_depth, min_leaf_size):
     feature, i = np.unravel_index(np.argmin(impurity), impurity.shape)
     if impurity[feature, i] > node_gini + _EPS:
         return TreeNode(label=label)
-    threshold = 0.5 * (xs[feature, i] + xs[feature, i + 1])
+    # the same float as 0.5 * (a + b) for normal a and b, but finite where a + b overflows
+    threshold = 0.5 * xs[feature, i] + 0.5 * xs[feature, i + 1]
     mask = X[:, feature] <= threshold
     left = _grow(X[mask], y[mask], w[mask], depth + 1, max_depth, min_leaf_size)
     right = _grow(X[~mask], y[~mask], w[~mask], depth + 1, max_depth, min_leaf_size)

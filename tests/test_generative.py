@@ -68,6 +68,14 @@ class TestFitLda:
         model = fit_lda(degenerate, ridge_cov=0.5)
         assert np.all(np.isfinite(model.weight))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e307])
+    def test_moments_that_overflow_are_rejected(self, scale):
+        # a saved model could not hold the non-finite offset or covariance
+        huge = LabeledDataset(scale * np.array([[1.0, 0.0], [1.5, 1.0], [-1.0, 0.5], [1.7, 2.0]]),
+                              [-1, 1, -1, 1])
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="overflow"):
+            fit_lda(huge, ridge_cov=1.0)
+
     def test_single_class_rejected(self):
         with pytest.raises(FitError):
             fit_lda(LabeledDataset([[0.0], [1.0]], [1, 1]))

@@ -10,7 +10,7 @@ from claslab.base import sign_labels
 from claslab.data import LabeledDataset
 from claslab.ensembles import TreeConfig, adaboost, bagging, random_subspace
 from claslab.oracle import equal_cov_problem, sample
-from claslab.serialize import model_to_dict
+from claslab.serialize import load_model, model_to_dict, save_model
 from claslab.trees import TreeNode, fit_tree, tree_trace
 
 FOUR = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [-1, -1, 1, 1])
@@ -23,6 +23,15 @@ class TestFitTree:
         assert tree.depth() == 1
         assert tree.root.feature == 0 and tree.root.threshold == 1.5
         assert np.mean(tree.predict(FOUR.features) != FOUR.labels) == 0.0
+
+    def test_a_cut_near_the_float_max_is_finite_and_round_trips(self, tmp_path):
+        huge = LabeledDataset([[1.0e308], [1.5e308], [-1.0e308], [1.7e308]], [-1, 1, -1, 1])
+        tree = fit_tree(huge, max_depth=2)
+        assert tree.depth() == 1 and tree.root.threshold == 1.25e308
+        assert np.array_equal(tree.predict(huge.features), huge.labels)
+        save_model(tree, tmp_path / "tree.json")
+        loaded = load_model(tmp_path / "tree.json")
+        assert loaded.predict(huge.features).tobytes() == tree.predict(huge.features).tobytes()
 
     def test_pure_data_is_a_leaf(self):
         ds = LabeledDataset([[0.0], [5.0]], [1, 1])
