@@ -48,9 +48,10 @@ _RUNTIME_ERRORS = (RuntimeError, MemoryError)
 _DATA, _TRAIN, _EST, _CURVE = 0, 1, 2, 3
 
 _KWARGS = {"lambda": "lam"}  # config key -> keyword, where the key is reserved in Python
-# schema key -> the largest value it takes, in every registry: each round is
-# a fit, so a count past this would run for longer than anyone waits
-AT_MOST = {"m_rounds": 100_000, "t_rounds": 100_000}
+# schema key -> the largest value it takes, in every registry: a count of rounds,
+# iterations, repeats or MC points past this would run longer than anyone waits
+AT_MOST = {"m_rounds": 100_000, "t_rounds": 100_000, "max_iters": 100_000,
+           "repeats": 10_000, "n_test_mc": 10_000_000}
 
 
 def _choose(table, name, params, what):

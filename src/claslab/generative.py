@@ -11,7 +11,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from .base import (
@@ -143,8 +142,8 @@ def lda_loo_scores(
     Leaving out row x of class c, with z = x - m_c, moves m_c by
     -z/(n_c - 1) and takes n_c/(n_c - 1) z z^T off the pooled scatter
     (Lachenbruch & Mickey 1968).  So every complement's covariance is
-    M - beta z z^T for one shared M, and one Cholesky factor of M with a
-    Sherman-Morrison update gives each complement's Mahalanobis distances
+    M - beta z z^T for one shared M, and one linear solve with M and a
+    Sherman-Morrison update give each complement's Mahalanobis distances
     from x to its two class means; the score is the log prior ratio plus
     half their difference, as in the fit's rule.
     """
@@ -159,18 +158,17 @@ def lda_loo_scores(
     prior_pos, scale = _lda_moments(ds.n_pos - pos, ds.n - 1, 1.0, laplace_priors, unbiased_cov)
     shared = scale * (z.T @ z) + model.ridge * np.eye(ds.dim)  # M
     spectrum = np.linalg.eigvalsh(shared)
-    if spectrum[0] <= NEAR_SINGULAR * spectrum[-1]:  # before M's Cholesky, which needs it
+    if spectrum[0] <= NEAR_SINGULAR * spectrum[-1]:  # before solving with M, which needs it
         return None
-    chol = np.linalg.cholesky(shared)
-    zw, ow = (solve_triangular(chol, v.T, lower=True) for v in (z, other))  # L^-1 z, L^-1 other
-    q, beta = np.sum(zw * zw, axis=0), scale * own
+    mz, mo = np.split(np.linalg.solve(shared, np.vstack([z, other]).T).T, 2)  # M^-1 z, M^-1 other
+    q, beta = np.sum(z * mz, axis=1), scale * own
     # the complement's covariance determinant over M's; by eigenvalue
     # interlacing, its smallest over largest eigenvalue is at least rest times M's
     rest = 1.0 - beta * q
     if np.any(rest * spectrum[0] <= NEAR_SINGULAR * spectrum[-1]):
         return None
     d_own = own**2 * q / rest
-    d_other = np.sum(ow * ow, axis=0) + beta * np.sum(zw * ow, axis=0) ** 2 / rest
+    d_other = np.sum(other * mo, axis=1) + beta * np.sum(other * mz, axis=1) ** 2 / rest
     return (
         np.log(prior_pos) - np.log(1.0 - prior_pos)
         + np.where(pos, 0.5, -0.5) * (d_other - d_own)

@@ -21,24 +21,28 @@ class KnnClassifier(DecisionFunction):
     """
 
     k: int
-    dataset: LabeledDataset
+    features: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
+        stored = LabeledDataset(self.features, self.labels)  # checked, frozen copies
+        object.__setattr__(self, "features", stored.features)
+        object.__setattr__(self, "labels", stored.labels)
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
             raise ValueError(f"k must be an integer, got {self.k!r}")
-        if not 1 <= self.k <= self.dataset.n:
-            raise ValueError(f"k must lie in [1, N={self.dataset.n}]")
+        if not 1 <= self.k <= stored.n:
+            raise ValueError(f"k must lie in [1, N={stored.n}]")
         if self.k % 2 == 0:
             raise ValueError("even k can tie a two-class vote; use odd k")
 
     @property
     def dim(self) -> int:
-        return self.dataset.dim
+        return self.features.shape[1]
 
     def decision_function(self, X):
         # squared distances order identically to Euclidean ones
-        dist = cdist(as_matrix(X, self.dim), self.dataset.features, "sqeuclidean")
-        return _vote(dist, self.k, self.dataset.labels == 1)
+        dist = cdist(as_matrix(X, self.dim), self.features, "sqeuclidean")
+        return _vote(dist, self.k, self.labels == 1)
 
 
 def _vote(dist, k: int, positive) -> np.ndarray:
@@ -59,8 +63,8 @@ def _vote(dist, k: int, positive) -> np.ndarray:
 
 
 def fit_knn(ds: LabeledDataset, k: int) -> KnnClassifier:
-    """Store the data verbatim; all work happens at query time."""
-    return KnnClassifier(k, ds)
+    """Store the rows; all work happens at query time."""
+    return KnnClassifier(k, ds.features, ds.labels)
 
 
 def knn_loo_scores(ds: LabeledDataset, model: KnnClassifier):

@@ -17,7 +17,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, _get, _shown, _typed, read_json
+from .data import _get, _shown, _typed, read_json
 from .ensembles import BoostModel, BoostRound, Ensemble
 from .features import PipelineClassifier, Poly2Expand, Select, Standardize
 from .generative import LdaModel, ParzenModel
@@ -63,15 +63,11 @@ def _node_from_dict(obj):
     obj = _typed(obj, dict, "a tree node")
     if "leaf" in obj:
         return TreeNode(label=_get(obj, "leaf", int, what="a tree node"))
-    field = {key: _get(obj, key, type_, what="a tree node")
-             for key, type_ in (("feature", int), ("threshold", float),
-                                ("left", object), ("right", object))}
-    return TreeNode(
-        feature=field["feature"],
-        threshold=field["threshold"],
-        left=_node_from_dict(field["left"]),
-        right=_node_from_dict(field["right"]),
+    feature, threshold, left, right = (
+        _get(obj, k, t, what="a tree node")
+        for k, t in (("feature", int), ("threshold", float), ("left", object), ("right", object))
     )
+    return TreeNode(feature, threshold, left=_node_from_dict(left), right=_node_from_dict(right))
 
 
 def _stored_fields(cls):
@@ -87,13 +83,6 @@ def _encode(value):
         return [_encode(v) for v in value]
     if isinstance(value, TreeNode):
         return _node_to_dict(value)
-    if isinstance(value, KnnClassifier):  # files carry the data, not a dataset
-        return {
-            "kind": "knn",
-            "k": value.k,
-            "features": value.dataset.features.tolist(),
-            "labels": value.dataset.labels.tolist(),
-        }
     if type(value) not in _KIND_OF and not isinstance(value, _RECORDS):
         raise ValueError(f"cannot serialize model of type {type(value).__name__}")
     out = {_KEYS.get(k, k): _encode(getattr(value, k)) for k in _stored_fields(type(value))}
@@ -143,12 +132,6 @@ def _decode(hint, value, what):
 
 
 def _from_fields(cls, obj, what):
-    if cls is KnnClassifier:
-        features, labels = (
-            _array(_get(obj, key, object, what=what), f"{what} {key!r}")
-            for key in ("features", "labels")
-        )
-        return KnnClassifier(_get(obj, "k", object, what=what), LabeledDataset(features, labels))
     hints = typing.get_type_hints(cls)
     keys = {name: _KEYS.get(name, name) for name in _stored_fields(cls)}
     return cls(**{

@@ -47,6 +47,20 @@ class DecisionTree(DecisionFunction):
     max_depth: int
     min_leaf_size: int
 
+    def __post_init__(self):
+        nodes = [self.root]  # a stack, not recursion: a tree too deep to recurse through builds
+        while nodes:
+            node = nodes.pop()
+            if node.feature < 0 and node.left is None and node.right is None:
+                if node.label not in (-1, 1):
+                    raise ValueError(f"a tree leaf 'label' must be -1 or +1, got {node.label!r}")
+            elif not 0 <= node.feature < self.dim:
+                raise ValueError(
+                    f"a tree split 'feature' must lie in [0, {self.dim}), got {node.feature!r}"
+                )
+            else:
+                nodes += [node.left, node.right]
+
     def decision_function(self, X):
         X = as_matrix(X, self.dim)
         out = np.empty(X.shape[0], dtype=int)

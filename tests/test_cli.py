@@ -790,27 +790,40 @@ def test_any_wrong_json_type_keeps_the_exit_code_contract(hypothesis_dir, data, 
     assert run(hypothesis_dir, command, cfg) in (0, 2, 3)
 
 
-# (registry, name, key, the entry's other required parameters): every round count
+# (registry, name, key, the entry's other required parameters): every count of
+# rounds, iterations, repeats or Monte-Carlo points
 ROUND_COUNTS = [
     ("estimator", "bootstrap_corrected", "m_rounds", {}),
     ("estimator", "e632", "m_rounds", {}),
     ("trainer", "bagging", "m_rounds", {}),
     ("trainer", "random_subspace", "m_rounds", {"subspace_dim": 1}),
     ("trainer", "adaboost", "t_rounds", {}),
+    ("trainer", "logistic", "max_iters", {}),
+    ("trainer", "linear", "max_iters", {"loss": "hinge"}),
+    ("trainer", "net", "max_iters", {}),
+    ("curve", "learning", "repeats", {"sizes": [10, 20]}),
+    ("curve", "learning", "n_test_mc", {"sizes": [10, 20]}),
+    ("curve", "feature", "repeats", {"dims": [1, 2]}),
+    ("curve", "feature", "n_test_mc", {"dims": [1, 2]}),
 ]
-REGISTRIES = {"estimator": ESTIMATORS, "trainer": TRAINERS}
+REGISTRIES = {"estimator": ESTIMATORS, "trainer": TRAINERS, "curve": CURVES}
 
 
 def with_rounds(workdir, command, what, name, key, others, rounds):
     cfg = small_config(workdir, command)
     if what == "estimator":
         return {**cfg, "estimator": {"method": name, key: rounds}}
+    if what == "curve":  # knn has no exact true error, so it would draw every MC point
+        return {**cfg, "trainer": {"name": "knn", "params": {"k": 1}},
+                "curve": {"kind": name, **others, key: rounds}}
     trainer = {"name": name, "params": {**others, key: rounds}}
     return {**cfg, **({"trainer": trainer} if command == "eval" else {"trainers": [trainer]})}
 
 
-@pytest.mark.parametrize("command", ["eval", "bench"])
-@pytest.mark.parametrize("what, name, key, others", ROUND_COUNTS)
+@pytest.mark.parametrize("command, what, name, key, others", [
+    (command, *case) for case in ROUND_COUNTS
+    for command in (["curve"] if case[0] == "curve" else ["eval", "bench"])
+])
 def test_a_round_count_past_its_bound_exits_2_at_once(
     workdir, capsys, command, what, name, key, others
 ):
@@ -824,6 +837,10 @@ def test_a_round_count_past_its_bound_exits_2_at_once(
 
 
 def test_every_round_count_has_a_bound_that_the_schema_accepts():
+    assert {(what, name, key) for what, name, key, _ in ROUND_COUNTS} == {
+        (what, name, key) for what, table in REGISTRIES.items()
+        for name, (schema, _) in table.items() for key in schema if key in AT_MOST
+    }
     assert {key for _, _, key, _ in ROUND_COUNTS} == set(AT_MOST)
     for what, name, key, others in ROUND_COUNTS:
         _, kwargs = _choose(REGISTRIES[what], name, {**others, key: AT_MOST[key]}, what)

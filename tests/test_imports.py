@@ -4,8 +4,8 @@ package defines no function, class or method that no source of the repo
 reads, no module keeps two tables keyed by the same names, no
 ``__post_init__`` stores a field from a value that never reads it, no
 code but ``base.freeze`` calls ``setflags``, no module but ``data``
-parses JSON, and no function only passes its arguments on to a method of
-one of them."""
+parses JSON, no function only passes its arguments on to a method of
+one of them, and scipy supplies only ``cdist``, ``ndtr`` and ``expit``."""
 
 import ast
 import itertools
@@ -345,3 +345,42 @@ def test_the_scan_sees_a_pass_through():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_pass_throughs(path):
     assert pass_throughs(path.read_text(encoding="utf-8")) == []
+
+
+# the only scipy names the package may import: numpy's LAPACK does all linear
+# algebra, so one BLAS thread pool serves the process
+SCIPY_NAMES = {"scipy.spatial.distance.cdist", "scipy.special.ndtr", "scipy.special.expit"}
+
+
+def other_scipy_imports(source: str) -> list:
+    """Imports in ``source`` of a scipy module, or of a scipy name outside
+    ``SCIPY_NAMES``: ``import scipy`` would reach every submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "scipy" and name not in SCIPY_NAMES]
+    return found
+
+
+def test_the_scan_sees_a_scipy_import_outside_the_three_names():
+    source = (
+        "from scipy.linalg import solve_triangular\nimport scipy.optimize\n"
+        "from scipy.special import expit, logsumexp\nfrom scipy import integrate\n"
+        "import scipy\nfrom scipy.spatial.distance import cdist\nfrom scipy.special import ndtr\n"
+        "from .scipy import x\nimport numpy.linalg\n"
+    )
+    assert other_scipy_imports(source) == [
+        "scipy.linalg.solve_triangular (line 1)", "scipy.optimize (line 2)",
+        "scipy.special.logsumexp (line 3)", "scipy.integrate (line 4)", "scipy (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_supplies_only_cdist_ndtr_and_expit(path):
+    assert other_scipy_imports(path.read_text(encoding="utf-8")) == []

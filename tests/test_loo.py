@@ -93,6 +93,30 @@ def test_shortcut_scores_match_refits(name, params):
         )
 
 
+def ill_conditioned(target, seed=64):
+    """60 rows whose pooled covariance has condition number near ``target``:
+    variances spread geometrically from 1 to 1/target along random axes."""
+    rng = np.random.default_rng(seed)
+    axes, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    labels = np.where(np.arange(60) % 2 == 0, 1, -1)
+    spread = rng.normal(size=(60, 4)) * np.sqrt(np.geomspace(1.0, 1.0 / target, 4))
+    return LabeledDataset(spread @ axes + 0.3 * labels[:, None], labels)
+
+
+@pytest.mark.parametrize(
+    "params", LOO_CASES["lda"], ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items()) or "plain"
+)
+def test_lda_matches_refits_on_an_ill_conditioned_covariance(params):
+    """Condition number 1.2e6, well below the 1e8 at which the closed form
+    declines; the rounding of both sides grows with it."""
+    trainer, ds = build("lda", params), ill_conditioned(1e6)
+    assert 5e5 < np.linalg.cond(fit_lda(ds).pooled_cov) < 2e6
+    shortcut, refit = trainer.loo_scores(ds), refit_scores(trainer, ds)
+    assert np.max(np.abs(shortcut - refit) / (1.0 + np.abs(refit))) < 1e-9
+    decided = np.abs(refit) > 1e-9
+    np.testing.assert_array_equal(np.sign(shortcut[decided]) >= 0, np.sign(refit[decided]) >= 0)
+
+
 @CASES
 def test_loo_cv_fits_all_rows_once_and_equals_refitting(name, params):
     trainer = build(name, params)

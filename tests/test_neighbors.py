@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from claslab.data import LabeledDataset
-from claslab.neighbors import fit_knn
+from claslab.neighbors import KnnClassifier, fit_knn
 from claslab.oracle import equal_cov_problem, sample
 
 
@@ -13,8 +13,7 @@ def _sorted_vote(model, X):
     """The vote by partial sort, with a stable re-sort of every row that has
     several points at its k-th distance: the reference for the masked rule."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    stored = model.dataset.features
-    labels = model.dataset.labels
+    stored, labels = model.features, model.labels
     k = model.k
     dist = cdist(X, stored, "sqeuclidean")
     part = np.argpartition(dist, k - 1, axis=1)[:, :k]
@@ -30,7 +29,7 @@ def _sorted_vote(model, X):
 
 def _tied_rows(model, X):
     """How many rows have more stored points within their k-th distance than k."""
-    dist = cdist(X, model.dataset.features, "sqeuclidean")
+    dist = cdist(X, model.features, "sqeuclidean")
     kth = np.partition(dist, model.k - 1, axis=1)[:, model.k - 1 : model.k]
     return int(((dist <= kth).sum(axis=1) > model.k).sum())
 
@@ -56,7 +55,20 @@ class TestFitKnn:
     def test_stores_data_verbatim(self):
         ds = LabeledDataset([[0.0], [1.0], [2.0]], [1, -1, 1])
         model = fit_knn(ds, 1)
-        assert model.dataset == ds
+        assert LabeledDataset(model.features, model.labels) == ds
+        assert not model.features.flags.writeable and not model.labels.flags.writeable
+
+    def test_rows_are_checked_and_copied(self):
+        features, labels = np.array([[0.0], [1.0], [2.0]]), np.array([1, -1, 1])
+        model = KnnClassifier(1, features, labels)
+        features[0, 0], labels[0] = 5.0, -1  # the caller's arrays, not the model's
+        assert model.features[0, 0] == 0.0 and model.labels[0] == 1
+        with pytest.raises(ValueError, match=r"labels must be -1 or \+1"):
+            KnnClassifier(1, [[0.0], [1.0]], [1, 0])
+        with pytest.raises(ValueError, match="non-finite"):
+            KnnClassifier(1, [[0.0], [np.nan]], [1, -1])
+        with pytest.raises(ValueError, match=r"feature rows \(2\) != labels \(1\)"):
+            KnnClassifier(1, [[0.0], [1.0]], [1])
 
     def test_even_k_rejected(self):
         ds = LabeledDataset(np.arange(6.0).reshape(6, 1), [1, -1] * 3)

@@ -1,6 +1,7 @@
 """Decision trees: split search, classification, tracing, rendering."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +85,28 @@ class TestFitTree:
             fit_tree(FOUR, max_depth=1, min_leaf_size=0)
         with pytest.raises(ValueError):
             fit_tree(FOUR, max_depth=1, sample_weight=np.array([-1.0, 1, 1, 1]))
+
+
+LEAF = TreeNode(label=1)
+
+
+@pytest.mark.parametrize("root, message", [
+    (TreeNode(0, 0.5, left=LEAF, right=TreeNode(label=0)), r"'label' must be -1 or \+1, got 0"),
+    (TreeNode(0, 0.5, left=TreeNode(2, 0.5, left=LEAF, right=LEAF), right=LEAF),
+     r"'feature' must lie in \[0, 2\), got 2"),
+])
+def test_a_node_below_the_root_is_checked_too(root, message):
+    with pytest.raises(ValueError, match=message):
+        trees.DecisionTree(root, 2, 3, 1)
+
+
+def test_a_tree_too_deep_to_recurse_through_builds_and_fails_at_predict():
+    root = TreeNode(label=-1)
+    for _ in range(sys.getrecursionlimit() + 500):
+        root = TreeNode(0, 0.5, left=LEAF, right=root)
+    tree = trees.DecisionTree(root, 1, sys.getrecursionlimit() + 500, 1)
+    with pytest.raises(RecursionError):
+        tree.predict([[1.0]])
 
 
 class TestTreeClassify:
