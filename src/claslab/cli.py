@@ -48,10 +48,22 @@ _RUNTIME_ERRORS = (RuntimeError, MemoryError)
 _DATA, _TRAIN, _EST, _CURVE = 0, 1, 2, 3
 
 _KWARGS = {"lambda": "lam"}  # config key -> keyword, where the key is reserved in Python
-# schema key -> the largest value it takes, in every registry: a count of rounds,
-# iterations, repeats or MC points past this would run longer than anyone waits
+# schema key (or the config's own "n") -> the largest value it takes, in every
+# registry: a count of rounds, iterations, repeats or MC points past this would
+# run longer than anyone waits, and a count of rows or hidden units would not fit
 AT_MOST = {"m_rounds": 100_000, "t_rounds": 100_000, "max_iters": 100_000,
-           "repeats": 10_000, "n_test_mc": 10_000_000}
+           "repeats": 10_000, "n_test_mc": 10_000_000, "n": 1_000_000,
+           "n_train": 1_000_000, "sizes": 1_000_000, "hidden_units": 10_000}
+
+
+def _at_most(value, key, what):
+    """``value``, or each entry of a list value, checked against ``AT_MOST[key]``."""
+    bound = AT_MOST.get(key)
+    for entry in value if isinstance(value, list) else [value]:
+        if bound is not None and entry > bound:
+            what = "each of " * isinstance(value, list) + what
+            raise ValueError(f"{what} {key!r} must be at most {bound}, got {_shown(entry)}")
+    return value
 
 
 def _choose(table, name, params, what):
@@ -59,8 +71,8 @@ def _choose(table, name, params, what):
 
     A registry maps each name to (schema, builder); a schema maps each
     parameter to (type, default or REQUIRED), and a parameter named in
-    ``AT_MOST`` may not exceed its bound.  Returns (builder, keyword
-    arguments for it).
+    ``AT_MOST`` (each entry, for a list) may not exceed its bound.  Returns
+    (builder, keyword arguments for it).
     """
     if not isinstance(name, str) or name not in table:
         raise ValueError(f"unknown {what} {name!r}")
@@ -73,9 +85,7 @@ def _choose(table, name, params, what):
     kwargs = {}
     for key, (type_, default) in schema.items():
         value = _get(params, key, type_, default, what)
-        if key in AT_MOST and value > AT_MOST[key]:
-            raise ValueError(f"{what} {key!r} must be at most {AT_MOST[key]}, got {_shown(value)}")
-        kwargs[_KWARGS.get(key, key)] = value
+        kwargs[_KWARGS.get(key, key)] = _at_most(value, key, what)
     return build, kwargs
 
 
@@ -234,7 +244,8 @@ def _prepare(cfg, need_data: bool = True):
     if "problem" in cfg:
         problem = load_problem(_get(cfg, "problem", str))
         if need_data:
-            ds = sample(problem, _get(cfg, "n", int), child_seed(cfg["seed"], _DATA))
+            n = _at_most(_get(cfg, "n", int), "n", "config")
+            ds = sample(problem, n, child_seed(cfg["seed"], _DATA))
     else:
         ds = load_csv(_get(cfg, "dataset", str))
     spec = _get(cfg, "transform", str, "")
@@ -266,7 +277,7 @@ def _estimator(cfg):
 
 def cmd_gen(cfg) -> int:
     problem = load_problem(_get(cfg, "problem", str))
-    n = _get(cfg, "n", int)
+    n = _at_most(_get(cfg, "n", int), "n", "config")
     out = Path(_get(cfg, "out", str))
     ds = sample(problem, n, cfg["seed"])
     save_csv(ds, out)

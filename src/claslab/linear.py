@@ -33,11 +33,14 @@ _RAY_CHUNK = 8192  # scores evaluated per loss.value call of the line search
 @dataclass(frozen=True)
 class TrainInfo:
     """How an iterative fit ended: ``termination`` is "tolerance" (gradient
-    norm reached), "max_iters" (step budget spent) or "stalled" (no step
-    down to _MIN_STEP passed Armijo; the last accepted iterate is kept).
-    "tolerance" does not prove that a minimizer exists: an unpenalized logistic
-    or exponential fit of quasi-separated data (separable, with some points
-    on the hyperplane) has none, yet it can end "tolerance" at large weights."""
+    norm reached), "separated" (an unpenalized fit of a positive loss reached
+    a rule that puts every training row on its own side: no minimizer exists,
+    and this Newton iterate is returned), "max_iters" (step budget spent) or
+    "stalled" (no step down to _MIN_STEP passed Armijo; the last accepted
+    iterate is kept).  "tolerance" does not prove that a minimizer exists: an
+    unpenalized logistic or exponential fit of quasi-separated data (separable,
+    with some points on the hyperplane) has none, yet it can end "tolerance"
+    at large weights."""
 
     iterations: int
     termination: str
@@ -132,20 +135,25 @@ def _ray_search(s, u, y, loss, lam, scale, v, dv, slope, step):
     return None
 
 
-def _descend(Z, y, loss, config, scale, newton):
-    """Newton or gradient steps from zero weights to (v, v0, TrainInfo), or
-    None once a Newton iterate of a positive unpenalized loss has objective
-    below 1: each loss is 1 at margin 0, so every margin is then positive,
-    the data are separated and no minimizer exists."""
-    lam = config.lam
+def _descend(X, y, loss, config, standardize, newton):
+    """Newton or gradient steps, in standardized coordinates, from zero
+    weights to (weight, bias, TrainInfo) in original ones.  An unpenalized
+    Newton fit of a positive loss ends "separated" at the first iterate with
+    objective below 1 (each loss is 1 at margin 0) whose rule gives every row
+    of X a positive margin; rounding may leave one at 0, and Newton steps on."""
+    lam, scale = config.lam, standardize.std
+    certifies = newton and lam == 0 and loss.positive
+    Z = standardize.map(X)
     A = np.column_stack([Z, np.ones(len(y))])
     v, v0 = np.zeros(Z.shape[1]), 0.0
     obj, grad_v, grad_v0 = _objective_and_grad(Z, y, loss, lam, scale, v, v0)
     history = [obj]
     while True:
         gnorm = np.sqrt(grad_v @ grad_v + grad_v0**2)
-        if newton and lam == 0 and loss.positive and obj < 1.0:
-            return None
+        weight, bias = standardize.pull_back(v, v0)
+        if certifies and obj < 1.0 and np.all(y * (X @ weight + bias) > 0):
+            termination = "separated"
+            break
         termination = "tolerance" if gnorm <= config.tolerance else "max_iters"
         if termination == "tolerance" or len(history) > config.max_iters:
             break
@@ -168,16 +176,17 @@ def _descend(Z, y, loss, config, scale, newton):
         v, v0 = v + t * dv, v0 + t * d0
         obj, grad_v, grad_v0 = _objective_and_grad(Z, y, loss, lam, scale, v, v0)
         history.append(obj)
-    return v, v0, TrainInfo(len(history) - 1, termination, obj, tuple(history))
+    return weight, float(bias), TrainInfo(len(history) - 1, termination, obj, tuple(history))
 
 
 def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
     """Fit the regularized empirical risk: Newton for smooth losses, else GD.
 
     ``info.termination`` says how the fit ended.  Unpenalized separated
-    data under a positive loss have no minimizer; they get gradient
-    descent, which runs out its ``max_iters``.  The 0-1 loss is rejected:
-    minimizing it directly is intractable, use a surrogate.
+    data under a positive loss have no minimizer; their fit returns the
+    first Newton iterate that separates the training rows and ends
+    "separated".  The 0-1 loss is rejected: minimizing it directly is
+    intractable, use a surrogate.
     """
     loss = get_loss(config.loss)
     if not loss.differentiable:
@@ -185,14 +194,8 @@ def train_linear(ds: LabeledDataset, config: TrainConfig) -> LinearHypothesis:
             "cannot train on the 0-1 loss (NP-hard); pick a surrogate loss"
         )
     standardize = Standardize.fit(ds)
-    shift, scale, y = standardize.mean, standardize.std, ds.labels
-    Z = standardize.map(ds.features)
-    v, v0, info = _descend(Z, y, loss, config, scale, loss.smooth) or _descend(
-        Z, y, loss, config, scale, False
-    )
-    weight = v / scale
-    bias = v0 - float(weight @ shift)
-    return LinearHypothesis(weight, float(bias), shift, scale, info)
+    weight, bias, info = _descend(ds.features, ds.labels, loss, config, standardize, loss.smooth)
+    return LinearHypothesis(weight, bias, standardize.mean, standardize.std, info)
 
 
 def train_logistic(ds: LabeledDataset, lam: float = 0.0, **overrides) -> LinearHypothesis:

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claslab.cli import _KWARGS, AT_MOST, CURVES, ESTIMATORS, REQUIRED, TRAINERS, _choose, main
+from claslab.cli import (
+    _KWARGS, AT_MOST, CURVES, ESTIMATORS, REQUIRED, TRAINERS, _at_most, _choose, main,
+)
 from claslab.data import load_csv
 from claslab.ensembles import TreeConfig
 from claslab.evaluation import apparent_error, feature_curve, holdout_error, kfold_cv
@@ -113,7 +115,7 @@ class TestTrain:
         assert report["apparent_error"] == apparent_error(model, ds).value
         assert report["trainer"] == "lda"
 
-    def test_logistic_separable_flags_max_iters(self, workdir):
+    def test_logistic_separable_reports_separated(self, workdir):
         (workdir / "sep.csv").write_text(
             "x,label\n-2.0,-1\n-1.0,-1\n1.0,1\n2.0,1\n", encoding="utf-8"
         )
@@ -124,7 +126,11 @@ class TestTrain:
         }
         assert run(workdir, "train", cfg) == 0
         report = json.loads((workdir / "sep_model.report.json").read_text())
-        assert report["termination"] == "max_iters"
+        assert report["termination"] == "separated"
+        assert report["iterations"] < 50
+        ds = load_csv(workdir / "sep.csv")
+        np.testing.assert_array_equal(load_model(workdir / "sep_model.json").predict(ds.features),
+                                      ds.labels)
 
     def test_unknown_trainer_exits_2(self, workdir):
         cfg = {
@@ -732,7 +738,8 @@ def test_memory_error_exits_3(workdir, capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("claslab.cli.sample", no_memory)
-    cfg = {"problem": str(workdir / "problem.json"), "n": 10**12, "out": str(workdir / "x.csv")}
+    cfg = {"problem": str(workdir / "problem.json"), "n": AT_MOST["n"],
+           "out": str(workdir / "x.csv")}
     assert run(workdir, "gen", cfg) == 3
     assert capsys.readouterr().err == "error: MemoryError\n"
 
@@ -791,8 +798,10 @@ def test_any_wrong_json_type_keeps_the_exit_code_contract(hypothesis_dir, data, 
 
 
 # (registry, name, key, the entry's other required parameters): every count of
-# rounds, iterations, repeats or Monte-Carlo points
+# rounds, iterations, repeats, Monte-Carlo points, rows or hidden units; the
+# registry "config" stands for the config itself
 ROUND_COUNTS = [
+    ("config", None, "n", {}),
     ("estimator", "bootstrap_corrected", "m_rounds", {}),
     ("estimator", "e632", "m_rounds", {}),
     ("trainer", "bagging", "m_rounds", {}),
@@ -801,16 +810,23 @@ ROUND_COUNTS = [
     ("trainer", "logistic", "max_iters", {}),
     ("trainer", "linear", "max_iters", {"loss": "hinge"}),
     ("trainer", "net", "max_iters", {}),
+    ("trainer", "net", "hidden_units", {}),
+    ("curve", "learning", "sizes", {}),
     ("curve", "learning", "repeats", {"sizes": [10, 20]}),
     ("curve", "learning", "n_test_mc", {"sizes": [10, 20]}),
     ("curve", "feature", "repeats", {"dims": [1, 2]}),
+    ("curve", "feature", "n_train", {"dims": [1, 2]}),
     ("curve", "feature", "n_test_mc", {"dims": [1, 2]}),
 ]
 REGISTRIES = {"estimator": ESTIMATORS, "trainer": TRAINERS, "curve": CURVES}
+LISTED = {"sizes"}  # counts given as a list, each entry bounded
 
 
 def with_rounds(workdir, command, what, name, key, others, rounds):
-    cfg = small_config(workdir, command)
+    cfg = small_config(workdir, command)  # gen reads the curve config's problem, seed and out
+    rounds = [10, rounds] if key in LISTED else rounds
+    if what == "config":
+        return {**cfg, key: rounds}
     if what == "estimator":
         return {**cfg, "estimator": {"method": name, key: rounds}}
     if what == "curve":  # knn has no exact true error, so it would draw every MC point
@@ -820,9 +836,12 @@ def with_rounds(workdir, command, what, name, key, others, rounds):
     return {**cfg, **({"trainer": trainer} if command == "eval" else {"trainers": [trainer]})}
 
 
+def commands_reading(what):
+    return {"config": ["gen", "eval", "bench"], "curve": ["curve"]}.get(what, ["eval", "bench"])
+
+
 @pytest.mark.parametrize("command, what, name, key, others", [
-    (command, *case) for case in ROUND_COUNTS
-    for command in (["curve"] if case[0] == "curve" else ["eval", "bench"])
+    (command, *case) for case in ROUND_COUNTS for command in commands_reading(case[0])
 ])
 def test_a_round_count_past_its_bound_exits_2_at_once(
     workdir, capsys, command, what, name, key, others
@@ -831,20 +850,29 @@ def test_a_round_count_past_its_bound_exits_2_at_once(
     cfg = with_rounds(workdir, command, what, name, key, others, 10**30)
     assert run(workdir, command, cfg) == 2
     assert time.monotonic() - start < 5.0
+    field = "each of " * (key in LISTED) + (what if name is None else f"{what} {name!r}")
     assert capsys.readouterr().err == (
-        f"config error: {what} {name!r} {key!r} must be at most {AT_MOST[key]}, got {10**30}\n"
+        f"config error: {field} {key!r} must be at most {AT_MOST[key]}, got {10**30}\n"
     )
 
 
 def test_every_round_count_has_a_bound_that_the_schema_accepts():
-    assert {(what, name, key) for what, name, key, _ in ROUND_COUNTS} == {
+    assert {(what, name, key) for what, name, key, _ in ROUND_COUNTS if what != "config"} == {
         (what, name, key) for what, table in REGISTRIES.items()
         for name, (schema, _) in table.items() for key in schema if key in AT_MOST
     }
     assert {key for _, _, key, _ in ROUND_COUNTS} == set(AT_MOST)
+    assert LISTED == {
+        key for table in REGISTRIES.values() for schema, _ in table.values()
+        for key, (type_, _) in schema.items() if key in AT_MOST and type_ == list[int]
+    }
     for what, name, key, others in ROUND_COUNTS:
-        _, kwargs = _choose(REGISTRIES[what], name, {**others, key: AT_MOST[key]}, what)
-        assert kwargs[key] == AT_MOST[key]
+        bound = [AT_MOST[key]] if key in LISTED else AT_MOST[key]
+        if what == "config":  # checked before any row is drawn
+            assert _at_most(bound, key, what) == bound
+            continue
+        _, kwargs = _choose(REGISTRIES[what], name, {**others, key: bound}, what)
+        assert kwargs[key] == bound
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -873,7 +901,7 @@ def readme_table(heading):
 def schema_text(schema):
     return ", ".join(
         f"`{key}` {TYPE_NAMES[type_]}"
-        + (f" up to {AT_MOST[key]:,}" if key in AT_MOST else "")
+        + (f"{', each' * (key in LISTED)} up to {AT_MOST[key]:,}" if key in AT_MOST else "")
         + (", required" if default is REQUIRED else f" = {json.dumps(default)}")
         for key, (type_, default) in schema.items()
     ) or "none"

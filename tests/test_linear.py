@@ -122,6 +122,25 @@ def random_dataset(rng):
     return LabeledDataset(rng.normal(size=(n, d)) + 0.7 * y[:, None] * rng.normal(size=d), y)
 
 
+def assert_separates(h, ds):
+    assert np.all(ds.labels * h.decision_function(ds.features) > 0)
+
+
+def separable_dataset(rng):
+    """1 to 5 columns and 4 to 60 rows labelled by a random hyperplane, none
+    of them within 0.1 of it, and both labels present."""
+    n, d = int(rng.integers(4, 61)), int(rng.integers(1, 6))
+    normal, offset = rng.normal(size=d), rng.normal(scale=0.5)
+    normal /= np.linalg.norm(normal)
+    while True:
+        X = rng.normal(size=(4 * n, d))
+        signed = X @ normal + offset
+        keep = np.abs(signed) > 0.1
+        X, y = X[keep][:n], np.where(signed[keep][:n] > 0, 1, -1)
+        if len(y) == n and len(set(y)) == 2:
+            return LabeledDataset(X, y)
+
+
 def standardized(ds):
     st = Standardize.fit(ds)
     return st.map(ds.features), ds.labels, st.std
@@ -169,15 +188,21 @@ class TestSolvers:
         for lam in (0.0, 0.1):
             for _ in range(50):
                 ds = random_dataset(rng)
-                Z, y, scale = standardized(ds)
                 config = TrainConfig(loss=loss, lam=lam, max_iters=500, tolerance=1e-9)
-                newton = train_linear(ds, config).info
-                gd = _descend(Z, y, get_loss(loss), config, scale, False)[2]
-                assert newton.objective <= gd.objective + 1e-9 * (1 + abs(gd.objective))
-                # at the default tolerance Newton ends by its stop rule; only
-                # separated data, fitted by gradient descent, spend the budget
-                info = train_linear(ds, TrainConfig(loss=loss, lam=lam, max_iters=100)).info
-                assert info.termination in ("tolerance", "max_iters")
+                h = train_linear(ds, config)
+                if h.info.termination == "separated":  # no minimizer to compare with
+                    assert lam == 0 and h.info.objective < 1.0
+                    assert_separates(h, ds)
+                else:
+                    gd = _descend(ds.features, ds.labels, get_loss(loss), config,
+                                  Standardize.fit(ds), False)[2]
+                    assert h.info.objective <= gd.objective + 1e-9 * (1 + abs(gd.objective))
+                # at the default tolerance every Newton fit ends by its stop
+                # rule or at a certificate: none spends the budget
+                h = train_linear(ds, TrainConfig(loss=loss, lam=lam, max_iters=100))
+                assert h.info.termination in ("tolerance", "separated")
+                if h.info.termination == "separated":
+                    assert_separates(h, ds)
 
     def test_squared_newton_is_least_squares(self):
         rng = np.random.default_rng(14)
@@ -211,6 +236,29 @@ class TestSolvers:
             assert np.all(np.isfinite(h.weight))
             assert h.info.termination == "tolerance"
             assert 2.0 < h.info.objective < 2.0 + 1e-5
+
+    @pytest.mark.xfail(strict=True, reason="quasi-complete separation is not detected "
+                       "until ROADMAP item 2 step C")
+    def test_quasi_separated_data_do_not_end_tolerance(self):
+        ds = LabeledDataset([[-2.0], [-1.0], [0.0], [0.0], [1.0], [2.0]], [-1, -1, -1, 1, 1, 1])
+        assert train_logistic(ds, 0.0).info.termination != "tolerance"
+
+    def test_separable_sets_end_at_a_certificate(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            ds = separable_dataset(rng)
+            for loss in ("logistic", "exponential"):
+                h = train_linear(ds, TrainConfig(loss=loss))
+                assert h.info.termination == "separated"
+                assert_separates(h, ds)
+                # the certificate does not depend on the budget left after it
+                again = train_linear(ds, TrainConfig(loss=loss, max_iters=h.info.iterations))
+                assert again.info.termination == "separated"
+                assert again.weight.tobytes() == h.weight.tobytes() and again.bias == h.bias
+                penalized = train_linear(ds, TrainConfig(loss=loss, lam=0.1))
+                assert penalized.info.termination != "separated"
+            hinge = train_linear(ds, TrainConfig(loss="hinge", max_iters=200))
+            assert hinge.info.termination != "separated"
 
     @pytest.mark.parametrize("loss", ["hinge", "absolute"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -267,13 +315,15 @@ class TestTrainLogistic:
         post = expit(h.decision_function(xs))
         assert np.all(np.diff(post) > 0)
 
-    def test_separable_diverges_without_penalty(self):
+    def test_separable_ends_at_its_certificate_without_penalty(self):
         short = train_logistic(SEP_1D, 0.0, max_iters=300)
         long = train_logistic(SEP_1D, 0.0, max_iters=900)
-        assert short.info.termination == "max_iters"
-        assert long.info.termination == "max_iters"
-        # unregularized ML on separable data: the norm keeps growing
-        assert np.linalg.norm(long.weight) > np.linalg.norm(short.weight)
+        assert short.info.termination == "separated"
+        assert long.info.termination == "separated"
+        # unregularized ML on separable data has no minimizer: the fit is the
+        # first Newton iterate that separates, whatever the budget
+        assert long.weight.tobytes() == short.weight.tobytes() and long.bias == short.bias
+        assert_separates(long, SEP_1D)
         h_reg = train_logistic(SEP_1D, 1e-4, max_iters=20000, tolerance=1e-5)
         assert h_reg.info.termination == "tolerance"
 
